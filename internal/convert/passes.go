@@ -1,7 +1,7 @@
 package convert
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/phy"
 	"repro/internal/strict"
@@ -19,12 +19,9 @@ func (FakeLinkInsert) Name() string { return PassNames[0] }
 
 // Apply implements Pass.
 func (FakeLinkInsert) Apply(c *Converter, p *Plan) {
+	p.Slots = make([]RelSlot, 0, len(p.Batch))
 	for _, slot := range p.Batch {
-		if c.inc != nil {
-			p.Slots = append(p.Slots, c.incBuildSlot(slot, &p.Stats))
-		} else {
-			p.Slots = append(p.Slots, c.buildSlot(slot))
-		}
+		p.Slots = append(p.Slots, c.buildSlot(slot))
 	}
 	p.Stats.Slots = len(p.Slots)
 	for i := range p.Slots {
@@ -75,10 +72,6 @@ func (TriggerAssign) Name() string { return PassNames[1] }
 
 // Apply implements Pass.
 func (TriggerAssign) Apply(c *Converter, p *Plan) {
-	if c.inc != nil {
-		c.incAssignBatch(p)
-		return
-	}
 	for i := 1; i < len(p.Slots); i++ {
 		c.assignTriggers(&p.Slots[i-1], &p.Slots[i], &p.Stats)
 	}
@@ -112,6 +105,12 @@ func (BatchConnect) Apply(c *Converter, p *Plan) {
 // RSS first, trigger floor already applied); equal-RSS runs break toward the
 // earliest candidate in first-occurrence order, reproducing the historical
 // linear argmax exactly.
+//
+// The pair's output is allocated in bulk rather than per trigger: every
+// entry's TriggeredBy is carved from one slab of MaxInbound slots per entry,
+// and every broadcast's Targets from one slab sized to the pair's total.
+// Each carved slice is capped at its own region, so a later append (ROPInsert
+// adds poll targets) reallocates instead of overwriting a neighbour.
 func (c *Converter) assignTriggers(prev, next *RelSlot, st *Stats) {
 	t := c.tab()
 	outbound := t.outbound
@@ -152,6 +151,8 @@ func (c *Converter) assignTriggers(prev, next *RelSlot, st *Stats) {
 	for range next.Entries {
 		inbound = append(inbound, 0)
 	}
+	var trigSlab []phy.NodeID // allocated on the pair's first trigger
+	mi := c.MaxInbound
 
 	// Two rounds: primary triggers first, then backups.
 	for round := 0; round < c.MaxInbound; round++ {
@@ -200,6 +201,12 @@ func (c *Converter) assignTriggers(prev, next *RelSlot, st *Stats) {
 			}
 			outbound[bn]++
 			inbound[i]++
+			if next.Entries[i].TriggeredBy == nil {
+				if trigSlab == nil {
+					trigSlab = make([]phy.NodeID, len(next.Entries)*mi)
+				}
+				next.Entries[i].TriggeredBy = trigSlab[i*mi : i*mi : (i+1)*mi]
+			}
 			next.Entries[i].TriggeredBy = append(next.Entries[i].TriggeredBy, bn)
 			targets[bn] = append(targets[bn], target)
 			st.Triggers++
@@ -216,13 +223,22 @@ func (c *Converter) assignTriggers(prev, next *RelSlot, st *Stats) {
 	}
 
 	// Deterministic broadcast list.
-	sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
-	prev.Broadcasts = prev.Broadcasts[:0]
+	slices.Sort(touched)
+	total := 0
 	for _, n := range touched {
-		tgts := make([]phy.NodeID, len(targets[n]))
-		copy(tgts, targets[n])
-		prev.Broadcasts = append(prev.Broadcasts, Broadcast{From: n, Targets: tgts})
+		total += len(targets[n])
 	}
+	tgtSlab := make([]phy.NodeID, total)
+	bcs := prev.Broadcasts[:0]
+	if cap(bcs) < len(touched) {
+		bcs = make([]Broadcast, 0, len(touched))
+	}
+	for _, n := range touched {
+		k := copy(tgtSlab, targets[n])
+		bcs = append(bcs, Broadcast{From: n, Targets: tgtSlab[:k:k]})
+		tgtSlab = tgtSlab[k:]
+	}
+	prev.Broadcasts = bcs
 
 	// Reset scratch via the touched lists only.
 	for _, n := range cands {

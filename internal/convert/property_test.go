@@ -10,8 +10,8 @@ import (
 )
 
 // TestConvertVerifyProperty fuzzes the pipeline: randomized topologies ×
-// every registered scheduler × random backlogs (caching and the fake-cover
-// ablation mixed in), with Verify run on every converted plan. The
+// every registered scheduler × random backlogs (the fake-cover ablation
+// mixed in), with Verify run on every converted plan. The
 // invariants must never break.
 func TestConvertVerifyProperty(t *testing.T) {
 	seeds := int64(10)
@@ -38,10 +38,7 @@ func TestConvertVerifyProperty(t *testing.T) {
 				t.Fatalf("seed %d: BuildScheduler(%s): %v", seed, name, err)
 			}
 			c := New(g)
-			switch seed % 3 {
-			case 0:
-				c.EnableCache(0)
-			case 1:
+			if seed%3 == 1 {
 				c.DisableFakeCover = true
 			}
 			c.MaxInbound = 1 + int(seed)%2

@@ -8,6 +8,7 @@ package domino
 
 import (
 	"encoding/json"
+	"fmt"
 
 	"repro/internal/mac"
 	"repro/internal/phy"
@@ -69,24 +70,12 @@ type Config struct {
 	// strict.Scheduler works — the converter is scheduler-agnostic (§3,
 	// contribution 1).
 	NewScheduler func(*topo.ConflictGraph) strict.Scheduler
-	// NoConvertCache disables the converter's conversion cache. The cache
-	// replays steady-state batch conversions bit-identically (canonical keys
-	// cover everything the pass pipeline reads), so it is on by default.
-	NoConvertCache bool
-	// ConvertCacheCap overrides the conversion cache's LRU capacity when
-	// positive (0 means convert.DefaultCacheCap). Ignored with
-	// NoConvertCache.
-	ConvertCacheCap int
-	// NoIncremental disables the converter's incremental re-conversion layer
-	// (per-slot cover and per-pair trigger memos). Incremental conversion is
-	// bit-identical to full re-conversion, so it is on by default.
-	NoIncremental bool
 	// VerifyConvert runs convert.Verify on every plan the converter emits
 	// and panics on violation — a debug aid (tests always verify; production
 	// runs skip the O(slots²) check).
 	VerifyConvert bool
 	// ConvertTrace, when the engine has a trace sink, emits per-batch
-	// KindConvert records: deterministic pass counters, the cache outcome and
+	// KindConvert records: deterministic pass counters, the batch length and
 	// trigger/signature histograms. Off by default so existing golden traces
 	// are byte-identical.
 	ConvertTrace bool
@@ -165,6 +154,16 @@ func (c Config) SignatureCapacity() int {
 		chips = 127
 	}
 	return chips // 2^m+1 codes − 2 reserved = (2^m −1) = chips
+}
+
+// checkSignatureCapacity rejects a network with more nodes than the
+// configured codes have distinct signatures.
+func checkSignatureCapacity(g *topo.ConflictGraph, c Config) error {
+	if n := g.Net.NumNodes(); n > c.SignatureCapacity() {
+		return fmt.Errorf("domino: %d nodes exceed the %d-signature capacity; use longer codes (Config.SignatureChips)",
+			n, c.SignatureCapacity())
+	}
+	return nil
 }
 
 // sigFrameDuration is the combined-signature broadcast followed by the START

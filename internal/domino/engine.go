@@ -202,9 +202,8 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 		e.ensureNode(l.Sender)
 		e.ensureNode(l.Receiver)
 	}
-	if n := g.Net.NumNodes(); n > cfg.SignatureCapacity() {
-		panic(fmt.Sprintf("domino: %d nodes exceed the %d-signature capacity; use longer codes (Config.SignatureChips)",
-			n, cfg.SignatureCapacity()))
+	if err := checkSignatureCapacity(g, cfg); err != nil {
+		panic(err.Error())
 	}
 	// Poller instances per AP (internal/poll registry; default ROP). The AP
 	// slice is iterated in network order so UnpolledClients is deterministic.
@@ -327,24 +326,6 @@ func (e *Engine) QueueLen(link int) int { return e.queues[link].Len() }
 
 // Slots exposes how many global slots have been scheduled so far.
 func (e *Engine) Slots() int { return len(e.slots) }
-
-// ConvertCacheStats reports the conversion cache's hits and misses (zeros
-// when Config.NoConvertCache disabled it).
-func (e *Engine) ConvertCacheStats() (hits, misses int64) {
-	return e.server.conv.CacheStats()
-}
-
-// ConvertCacheDetails reports the cache's full accounting (occupancy,
-// evictions, exact vs canonical-only hits); zeros when the cache is off.
-func (e *Engine) ConvertCacheDetails() convert.CacheInfo {
-	return e.server.conv.CacheDetails()
-}
-
-// ConvertIncrementalStats reports the incremental re-conversion layer's
-// counters; zeros when Config.NoIncremental disabled it.
-func (e *Engine) ConvertIncrementalStats() convert.IncStats {
-	return e.server.conv.IncrementalStats()
-}
 
 // DebugScheduleStats summarises the built schedule: total entries, slots,
 // ROP boundaries and entries without triggers (tests and diagnostics).
@@ -504,12 +485,6 @@ func newServer(e *Engine) *server {
 		conv.MaxInbound = e.cfg.MaxInbound
 	}
 	conv.DisableFakeCover = e.cfg.NoFakeCover
-	if !e.cfg.NoConvertCache {
-		conv.EnableCache(e.cfg.ConvertCacheCap)
-	}
-	if !e.cfg.NoIncremental {
-		conv.EnableIncremental()
-	}
 	var sched strict.Scheduler
 	switch {
 	case e.cfg.NewScheduler != nil:

@@ -65,6 +65,11 @@ func init() {
 			if _, err := poll.Build(pollerName, c.PollerConfig); err != nil {
 				return nil, fmt.Errorf("domino: %v", err)
 			}
+			// And for the signature capacity: an interference domain with
+			// more nodes than the codes can tell apart is a config error.
+			if err := checkSignatureCapacity(ctx.Graph, *c); err != nil {
+				return nil, err
+			}
 			return New(ctx.Kernel, ctx.Medium, ctx.Graph, ctx.Events, *c), nil
 		},
 		Checkpointer: func(e mac.Engine) scheme.EngineState {
@@ -72,7 +77,6 @@ func init() {
 			if !ok {
 				return scheme.EngineState{Scheme: "DOMINO"}
 			}
-			hits, misses := eng.ConvertCacheStats()
 			counters := map[string]int64{
 				"slots":           int64(eng.Slots()),
 				"data_sends":      int64(eng.DataSends),
@@ -81,8 +85,6 @@ func init() {
 				"ack_misses":      int64(eng.AckMisses),
 				"self_starts":     int64(eng.SelfStarts),
 				"drops":           int64(eng.Drops),
-				"cache_hits":      hits,
-				"cache_misses":    misses,
 				"poll_rounds":     int64(eng.PollRounds),
 				"poll_collisions": int64(eng.PollCollisions),
 			}

@@ -10,6 +10,9 @@ package exp
 // the format (records gained sp/pa fields and pkt_enqueue/pkt_deliver
 // kinds); the runs themselves are schedule-identical to the pre-refactor
 // pipeline, which the unchanged throughputs prove.
+//
+// Every DOMINO run here has VerifyConvert on, so each converted plan must
+// also pass convert.Verify (a violation panics the run).
 
 import (
 	"bytes"
@@ -19,11 +22,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/domino"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/topo"
 )
+
+// verifyConvert is the DOMINO tune hook every golden run uses.
+func verifyConvert(c *domino.Config) { c.VerifyConvert = true }
 
 func sha(b []byte) string {
 	h := sha256.Sum256(b)
@@ -61,6 +68,8 @@ func runLegacy(t *testing.T, enum core.Scheme, seed int64) (string, string) {
 		Duration: 300 * sim.Millisecond,
 		Traffic:  core.Saturated,
 		Tracer:   nd,
+
+		TuneDomino: verifyConvert,
 	})
 	if err := nd.Flush(); err != nil {
 		t.Fatal(err)
@@ -82,6 +91,7 @@ func runSpec(t *testing.T, schemeName string, seed int64) (string, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc.TuneDomino = verifyConvert
 	var buf bytes.Buffer
 	nd := obs.NewNDJSON(&buf)
 	sc.Tracer = nd
@@ -134,6 +144,7 @@ func TestFig14MatchesPreRefactorGolden(t *testing.T) {
 	var trace bytes.Buffer
 	o := fig14TraceOpts(1)
 	o.TraceSink = &trace
+	o.TuneDomino = verifyConvert
 	r := must(Fig14(o))
 	if got := sha(trace.Bytes()); got != goldenTraceSHA {
 		t.Errorf("Fig 14 trace hash %s != pre-refactor golden %s (%d bytes)",

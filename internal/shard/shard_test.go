@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/phy"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/topo"
 )
 
@@ -431,5 +433,30 @@ func TestStepGranuleIdentity(t *testing.T) {
 		if wl[i] != sl[i] {
 			t.Fatalf("trace diverges at record %d:\n  whole:  %s\n  sliced: %s", i, wl[i], sl[i])
 		}
+	}
+}
+
+// TestSignatureCapacityError: a DOMINO spec whose interference domain holds
+// more nodes than the default 127-chip codes can tell apart is a config
+// error from both entry points, not a panic.
+func TestSignatureCapacityError(t *testing.T) {
+	sc, err := core.BuildScenario(spec.Spec{
+		Scheme:   "domino",
+		Topology: spec.Topology{Kind: "grid", Buildings: 1, APs: 20, Clients: 6},
+		Seed:     1,
+		Duration: spec.Duration(10 * sim.Millisecond),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sc.Net.NumNodes(); n <= 127 {
+		t.Fatalf("spec built %d nodes, want more than the 127-signature capacity", n)
+	}
+	const want = "signature capacity"
+	if _, err := core.NewInstance(sc); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("core.NewInstance: err = %v, want one mentioning %q", err, want)
+	}
+	if _, err := New(sc, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("shard.New: err = %v, want one mentioning %q", err, want)
 	}
 }

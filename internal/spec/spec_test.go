@@ -208,12 +208,24 @@ func TestValidateCatalog(t *testing.T) {
 		}, "PollerConfig must be a JSON object"},
 		{"domino convert knobs ok", func(s *spec.Spec) {
 			s.Scheme = "domino"
-			s.SchemeConfig = json.RawMessage(`{"NoIncremental": true, "ConvertCacheCap": 256, "VerifyConvert": true}`)
+			s.SchemeConfig = json.RawMessage(`{"MaxInbound": 1, "ConvertTrace": true, "VerifyConvert": true}`)
 		}, ""},
 		{"domino knob case-insensitive", func(s *spec.Spec) {
 			s.Scheme = "domino"
-			s.SchemeConfig = json.RawMessage(`{"noconvertcache": true}`)
+			s.SchemeConfig = json.RawMessage(`{"verifyconvert": true}`)
 		}, ""},
+		{"domino NoConvertCache knob rejected", func(s *spec.Spec) {
+			s.Scheme = "domino"
+			s.SchemeConfig = json.RawMessage(`{"NoConvertCache": true}`)
+		}, `DOMINO config has no field "NoConvertCache"`},
+		{"domino ConvertCacheCap knob rejected", func(s *spec.Spec) {
+			s.Scheme = "domino"
+			s.SchemeConfig = json.RawMessage(`{"ConvertCacheCap": 256}`)
+		}, `DOMINO config has no field "ConvertCacheCap"`},
+		{"domino NoIncremental knob rejected", func(s *spec.Spec) {
+			s.Scheme = "domino"
+			s.SchemeConfig = json.RawMessage(`{"NoIncremental": true}`)
+		}, `DOMINO config has no field "NoIncremental"`},
 		{"domino misspelled knob", func(s *spec.Spec) {
 			s.Scheme = "domino"
 			s.SchemeConfig = json.RawMessage(`{"NoIncrementl": true}`)
