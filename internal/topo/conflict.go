@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/phy"
 )
@@ -15,16 +16,14 @@ type ConflictGraph struct {
 	Links []*Link
 	cfg   phy.Config
 	rate  phy.Rate
-	adj   [][]bool
-	// adjBits mirrors adj as a bitset (row-major, 64 links per word) so the
-	// hot independent-set scan touches one word per 64 candidates instead of
-	// one bool per pair.
+	// adjBits is the adjacency as a bitset (row-major, 64 links per word),
+	// so the hot independent-set scan touches one word per 64 candidates.
 	adjBits  [][]uint64
 	adjWords int
 	// apConflict caches APConflict for every AP pair (indexed through
-	// apIndex), precomputed from per-AP link masks at construction — the
-	// converter's ROP-sharing checks would otherwise rescan all link pairs
-	// on every call.
+	// apIndex), marked from the edges at construction — the converter's
+	// ROP-sharing checks would otherwise rescan all link pairs on every
+	// call.
 	apIndex    map[phy.NodeID]int
 	apConflict [][]bool
 }
@@ -35,29 +34,74 @@ type ConflictGraph struct {
 // the sender plus the link-layer ACK from the receiver — so the test covers
 // data-vs-data, data-vs-ACK (slots can be misaligned by tens of µs while
 // relative scheduling converges) and ACK-vs-ACK corruption.
+//
+// A transmission from node u breaks the src→dst direction of a link when
+//
+//	RSS[src][dst] − MwToDBm(DBmToMw(RSS[u][dst]) + noiseMw) < threshold + ConflictMarginDB
+//
+// (u not an endpoint), and every link touching u then conflicts with that
+// link. The construction walks, per receiver, only the interferers the map
+// actually measured: the interference level is computed once per measured
+// (u, dst) pair, and every UnmeasuredDBm entry shares one precomputed level.
+// A direction whose signal already fails against that shared level is broken
+// by every unmeasured interferer too, so only then are all nodes visited.
+// The comparison itself is unchanged, so the graph is exact; the cost is
+// O(links × measured neighbours) instead of O(links²) transcendentals.
 func NewConflictGraph(net *Network, links []*Link, cfg phy.Config, rate phy.Rate) *ConflictGraph {
 	g := &ConflictGraph{Net: net, Links: links, cfg: cfg, rate: rate}
 	n := len(links)
-	g.adj = make([][]bool, n)
-	for i := range g.adj {
-		g.adj[i] = make([]bool, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			c := links[i].Shares(links[j]) ||
-				g.corrupts(links[i], links[j]) || g.corrupts(links[j], links[i])
-			g.adj[i][j] = c
-			g.adj[j][i] = c
-		}
-	}
 	g.adjWords = (n + 63) / 64
 	g.adjBits = make([][]uint64, n)
 	rows := make([]uint64, n*g.adjWords)
-	for i := 0; i < n; i++ {
-		g.adjBits[i] = rows[i*g.adjWords : (i+1)*g.adjWords]
-		for j := 0; j < n; j++ {
-			if g.adj[i][j] {
-				g.adjBits[i][j>>6] |= 1 << (uint(j) & 63)
+	for i := range g.adjBits {
+		g.adjBits[i] = rows[i*g.adjWords : (i+1)*g.adjWords : (i+1)*g.adjWords]
+	}
+
+	// incident[v] lists the links with v as sender or receiver.
+	incident := make([][]int, net.NumNodes())
+	for i, l := range links {
+		incident[l.Sender] = append(incident[l.Sender], i)
+		incident[l.Receiver] = append(incident[l.Receiver], i)
+	}
+	// Shared-node conflicts.
+	for _, ls := range incident {
+		for _, i := range ls {
+			for _, j := range ls {
+				if i != j {
+					g.set(i, j)
+				}
+			}
+		}
+	}
+
+	// Interference conflicts, one receiver at a time: the directions with
+	// receiver v are exactly v's incident links (data when v receives, ACK
+	// when v sends).
+	noiseMw := phy.DBmToMw(cfg.NoiseDBm)
+	level := func(rss float64) float64 { return phy.MwToDBm(phy.DBmToMw(rss) + noiseMw) }
+	unmeasured := level(UnmeasuredDBm)
+	need := phy.SNRThresholdDB(rate) + ConflictMarginDB
+	heard := measuredInterferers(net, level)
+	for v, ls := range incident {
+		dst := phy.NodeID(v)
+		from, lvl := heard.at(v)
+		for _, i := range ls {
+			src := links[i].Sender
+			if src == dst {
+				src = links[i].Receiver
+			}
+			signal := net.RSS[src][dst]
+			if signal-unmeasured < need {
+				for u := range net.RSS {
+					if net.RSS[u][v] == UnmeasuredDBm && u != v && phy.NodeID(u) != src {
+						g.setAll(i, incident[u])
+					}
+				}
+			}
+			for k, u := range from {
+				if phy.NodeID(u) != src && signal-lvl[k] < need {
+					g.setAll(i, incident[u])
+				}
 			}
 		}
 	}
@@ -65,61 +109,96 @@ func NewConflictGraph(net *Network, links []*Link, cfg phy.Config, rate phy.Rate
 	return g
 }
 
-// buildAPConflict precomputes the AP-pair conflict relation from per-AP link
-// masks: ap1 and ap2 conflict when any link of ap1 is adjacent to any link of
-// ap2 in the conflict graph.
-func (g *ConflictGraph) buildAPConflict() {
-	apLinks := map[phy.NodeID][]int{}
-	var aps []phy.NodeID
-	for i, l := range g.Links {
-		if _, ok := apLinks[l.AP]; !ok {
-			aps = append(aps, l.AP)
-		}
-		apLinks[l.AP] = append(apLinks[l.AP], i)
-	}
-	g.apIndex = make(map[phy.NodeID]int, len(aps))
-	for i, ap := range aps {
-		g.apIndex[ap] = i
-	}
-	mask := make([][]uint64, len(aps))
-	for i, ap := range aps {
-		mask[i] = make([]uint64, g.adjWords)
-		for _, li := range apLinks[ap] {
-			mask[i][li>>6] |= 1 << (uint(li) & 63)
-		}
-	}
-	g.apConflict = make([][]bool, len(aps))
-	for i, ap := range aps {
-		g.apConflict[i] = make([]bool, len(aps))
-		for j := range aps {
-			conflict := false
-			for _, li := range apLinks[ap] {
-				for w, bits := range mask[j] {
-					if g.adjBits[li][w]&bits != 0 {
-						conflict = true
-						break
-					}
-				}
-				if conflict {
-					break
-				}
+// interferers lists, for every receiver v, the nodes u ≠ v whose RSS at v
+// the map measured (not UnmeasuredDBm), with their interference level at v:
+// from[start[v]:start[v+1]] and level[start[v]:start[v+1]].
+type interferers struct {
+	start []int
+	from  []int32
+	level []float64
+}
+
+// measuredInterferers builds the per-receiver lists in two row-major passes
+// over the RSS matrix (count, then fill), computing each level once.
+func measuredInterferers(net *Network, level func(rss float64) float64) interferers {
+	n := net.NumNodes()
+	h := interferers{start: make([]int, n+1)}
+	for u, row := range net.RSS {
+		for v, r := range row {
+			if r != UnmeasuredDBm && u != v {
+				h.start[v+1]++
 			}
-			g.apConflict[i][j] = conflict
 		}
+	}
+	for v := 0; v < n; v++ {
+		h.start[v+1] += h.start[v]
+	}
+	h.from = make([]int32, h.start[n])
+	h.level = make([]float64, h.start[n])
+	next := append([]int(nil), h.start[:n]...)
+	for u, row := range net.RSS {
+		for v, r := range row {
+			if r != UnmeasuredDBm && u != v {
+				h.from[next[v]] = int32(u)
+				h.level[next[v]] = level(r)
+				next[v]++
+			}
+		}
+	}
+	return h
+}
+
+// at returns receiver v's measured interferers and their levels.
+func (h interferers) at(v int) ([]int32, []float64) {
+	return h.from[h.start[v]:h.start[v+1]], h.level[h.start[v]:h.start[v+1]]
+}
+
+// set marks links i and j as conflicting.
+func (g *ConflictGraph) set(i, j int) {
+	g.adjBits[i][j>>6] |= 1 << (uint(j) & 63)
+	g.adjBits[j][i>>6] |= 1 << (uint(i) & 63)
+}
+
+// setAll marks link i as conflicting with every link in js.
+func (g *ConflictGraph) setAll(i int, js []int) {
+	for _, j := range js {
+		g.set(i, j)
 	}
 }
 
-// corrupts reports whether link a's exchange breaks any part of link b's:
-// a's data or ACK transmission corrupting b's data reception (at b.Receiver)
-// or b's ACK reception (at b.Sender).
-func (g *ConflictGraph) corrupts(a, b *Link) bool {
-	for _, interferer := range []phy.NodeID{a.Sender, a.Receiver} {
-		if g.breaks(interferer, b.Sender, b.Receiver) || // b's data
-			g.breaks(interferer, b.Receiver, b.Sender) { // b's ACK
-			return true
+// buildAPConflict derives the AP-pair conflict relation from the edges: ap1
+// and ap2 conflict when any link of ap1 is adjacent to any link of ap2.
+func (g *ConflictGraph) buildAPConflict() {
+	g.apIndex = map[phy.NodeID]int{}
+	apOf := make([]int, len(g.Links))
+	for i, l := range g.Links {
+		a, ok := g.apIndex[l.AP]
+		if !ok {
+			a = len(g.apIndex)
+			g.apIndex[l.AP] = a
+		}
+		apOf[i] = a
+	}
+	g.apConflict = make([][]bool, len(g.apIndex))
+	cells := make([]bool, len(g.apIndex)*len(g.apIndex))
+	for a := range g.apConflict {
+		g.apConflict[a] = cells[a*len(g.apIndex) : (a+1)*len(g.apIndex)]
+	}
+	for i := range g.Links {
+		row := g.apConflict[apOf[i]]
+		g.forEachNeighbour(i, func(j int) { row[apOf[j]] = true })
+	}
+}
+
+// forEachNeighbour calls fn with every link conflicting with link i, in
+// increasing ID order.
+func (g *ConflictGraph) forEachNeighbour(i int, fn func(j int)) {
+	for w, word := range g.adjBits[i] {
+		for word != 0 {
+			fn(w<<6 + bits.TrailingZeros64(word))
+			word &= word - 1
 		}
 	}
-	return false
 }
 
 // ConflictMarginDB is the scheduling safety margin: concurrency requires the
@@ -129,31 +208,19 @@ func (g *ConflictGraph) corrupts(a, b *Link) bool {
 // interferers (3 dB covers two equal ones, and weaker tails).
 const ConflictMarginDB = 3
 
-// breaks reports whether a transmission from interferer drags the src→dst
-// SINR below the rate threshold plus the scheduling margin.
-func (g *ConflictGraph) breaks(interferer, src, dst phy.NodeID) bool {
-	if interferer == src || interferer == dst {
-		return false // shared-node conflicts are handled separately
-	}
-	signal := g.Net.RSS[src][dst]
-	interfMw := phy.DBmToMw(g.Net.RSS[interferer][dst]) + phy.DBmToMw(g.cfg.NoiseDBm)
-	sinr := signal - phy.MwToDBm(interfMw)
-	return sinr < phy.SNRThresholdDB(g.rate)+ConflictMarginDB
-}
-
 // Rate returns the data rate the graph was computed for.
 func (g *ConflictGraph) Rate() phy.Rate { return g.rate }
 
 // Conflicts reports whether links a and b (by ID) may not share a slot.
-func (g *ConflictGraph) Conflicts(a, b int) bool { return g.adj[a][b] }
+func (g *ConflictGraph) Conflicts(a, b int) bool {
+	return g.adjBits[a][b>>6]&(1<<(uint(b)&63)) != 0
+}
 
 // Degree returns the number of links conflicting with link id.
 func (g *ConflictGraph) Degree(id int) int {
 	d := 0
-	for _, c := range g.adj[id] {
-		if c {
-			d++
-		}
+	for _, word := range g.adjBits[id] {
+		d += bits.OnesCount64(word)
 	}
 	return d
 }
@@ -173,7 +240,7 @@ func (g *ConflictGraph) Hidden(a, b int) bool {
 	if a == b || g.Links[a].Shares(g.Links[b]) {
 		return false
 	}
-	return g.adj[a][b] && !g.SendersHear(a, b)
+	return g.Conflicts(a, b) && !g.SendersHear(a, b)
 }
 
 // Exposed reports whether links a and b form an exposed pair: they could
@@ -183,7 +250,7 @@ func (g *ConflictGraph) Exposed(a, b int) bool {
 	if a == b || g.Links[a].Shares(g.Links[b]) {
 		return false
 	}
-	return !g.adj[a][b] && g.SendersHear(a, b)
+	return !g.Conflicts(a, b) && g.SendersHear(a, b)
 }
 
 // CountHiddenExposed tallies hidden and exposed pairs over all unordered link

@@ -3,7 +3,6 @@ package topo
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"repro/internal/phy"
@@ -29,17 +28,13 @@ func (g *ConflictGraph) Components() [][]int {
 		for len(queue) > 0 {
 			v := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			for w, word := range g.adjBits[v] {
-				for word != 0 {
-					j := w<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					if !visited[j] {
-						visited[j] = true
-						comp = append(comp, j)
-						queue = append(queue, j)
-					}
+			g.forEachNeighbour(v, func(j int) {
+				if !visited[j] {
+					visited[j] = true
+					comp = append(comp, j)
+					queue = append(queue, j)
 				}
-			}
+			})
 		}
 		sort.Ints(comp)
 		comps = append(comps, comp)
@@ -136,9 +131,10 @@ func PartitionDomains(g *ConflictGraph, cutDBm float64) *Partition {
 		apPos[ap] = i
 	}
 	// Cell membership: AP plus associated clients.
+	clients := net.clientsByAP()
 	cells := make([][]phy.NodeID, nAP)
 	for i, ap := range aps {
-		cells[i] = append([]phy.NodeID{ap}, net.Clients(ap)...)
+		cells[i] = append([]phy.NodeID{ap}, clients[ap]...)
 	}
 
 	p := &Partition{Graph: g, CutDBm: cutDBm}
@@ -237,11 +233,11 @@ func PartitionDomains(g *ConflictGraph, cutDBm float64) *Partition {
 	// run cannot enforce.
 	for i := range g.Links {
 		di := p.LinkDomain[i]
-		for j := i + 1; j < len(g.Links); j++ {
-			if g.adj[i][j] && di != p.LinkDomain[j] {
+		g.forEachNeighbour(i, func(j int) {
+			if j > i && di != p.LinkDomain[j] {
 				p.Stats.CrossLinkPairs++
 			}
-		}
+		})
 	}
 	p.Stats.Domains = len(p.Domains)
 	return p

@@ -64,7 +64,7 @@ func TestComponentsMatchesNaiveReference(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		got := g.Components()
-		want := naiveComponents(g.adj)
+		want := naiveComponents(refAdjacency(g))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("graph %d (%d links): Components() = %v, want %v",
 				gi, len(g.Links), got, want)
@@ -116,7 +116,7 @@ func TestPartitionGridCampus(t *testing.T) {
 	cross := 0
 	for i := range g.Links {
 		for j := i + 1; j < len(g.Links); j++ {
-			if g.adj[i][j] && p.LinkDomain[i] != p.LinkDomain[j] {
+			if g.Conflicts(i, j) && p.LinkDomain[i] != p.LinkDomain[j] {
 				cross++
 			}
 		}

@@ -49,6 +49,20 @@ func (n *Network) Clients(ap phy.NodeID) []phy.NodeID {
 	return out
 }
 
+// clientsByAP groups the clients by AP in one pass over APOf: entry ap
+// holds what Clients(ap) returns, in the same order. Entries for nodes that
+// are not APs stay nil, and a client whose APOf is out of range is skipped,
+// as Clients would never return it.
+func (n *Network) clientsByAP() [][]phy.NodeID {
+	out := make([][]phy.NodeID, n.NumNodes())
+	for id, ap := range n.APOf {
+		if !n.IsAP[id] && ap >= 0 && int(ap) < len(out) {
+			out[ap] = append(out[ap], phy.NodeID(id))
+		}
+	}
+	return out
+}
+
 // Validate checks structural consistency and returns a descriptive error for
 // the first violation found.
 func (n *Network) Validate() error {
@@ -126,8 +140,9 @@ func (n *Network) BuildLinks(downlink, uplink bool) []*Link {
 	add := func(s, r phy.NodeID, ap phy.NodeID, down bool) {
 		links = append(links, &Link{ID: len(links), Sender: s, Receiver: r, AP: ap, Downlink: down})
 	}
+	clients := n.clientsByAP()
 	for _, ap := range n.APs {
-		for _, c := range n.Clients(ap) {
+		for _, c := range clients[ap] {
 			if downlink {
 				add(ap, c, ap, true)
 			}
