@@ -106,6 +106,10 @@ type node struct {
 	busySince sim.Time // when carrier sensing last turned busy
 	nav       sim.Time // virtual carrier sense (protects overheard ACKs)
 	timeoutEv sim.Event
+
+	// Event callbacks bound once per node, so scheduling them allocates no
+	// method value or closure per frame.
+	fireFn, retryFn, txDoneFn, ackTimeoutFn func()
 }
 
 // setNAV reserves the medium until t (802.11 virtual carrier sensing).
@@ -114,7 +118,7 @@ func (n *node) setNAV(t sim.Time) {
 		return
 	}
 	n.nav = t
-	n.e.k.At(t, func() { n.tryScheduleFire() })
+	n.e.k.At(t, n.retryFn)
 }
 
 // New creates a DCF engine for the given links. Each distinct sender among
@@ -139,6 +143,8 @@ func New(k *sim.Kernel, medium *phy.Medium, links []*topo.Link, events mac.Event
 		n, ok := e.nodes[id]
 		if !ok {
 			n = &node{e: e, id: id, cw: cfg.CWMin}
+			n.fireFn, n.retryFn = n.fire, n.tryScheduleFire
+			n.txDoneFn, n.ackTimeoutFn = n.txDone, n.ackTimeout
 			e.nodes[id] = n
 			medium.Register(id, n)
 		}
@@ -226,7 +232,7 @@ func (n *node) tryScheduleFire() {
 	}
 	n.fireBase = n.e.k.Now()
 	wait := n.e.cfg.DIFS + sim.Time(n.counter)*n.e.cfg.SlotTime
-	n.fireEv = n.e.k.After(wait, n.fire).SetSource(sim.SrcMAC)
+	n.fireEv = n.e.k.After(wait, n.fireFn).SetSource(sim.SrcMAC)
 }
 
 // CarrierChanged implements phy.Listener: pause and resume backoff.
@@ -277,13 +283,16 @@ func (n *node) fire() {
 		Kind: phy.Data, Dst: p.Link.Receiver, Bytes: p.Bytes,
 		Rate: n.e.cfg.Rate, Duration: dur, Payload: p, ObsSpan: p.Span,
 	})
-	n.e.k.After(dur, func() {
-		if n.st == stTx {
-			n.st = stWaitAck
-			timeout := n.e.cfg.SIFS + n.e.ackAirtime() + 2*n.e.cfg.SlotTime
-			n.timeoutEv = n.e.k.After(timeout, n.ackTimeout).SetSource(sim.SrcMAC)
-		}
-	}).SetSource(sim.SrcMAC)
+	n.e.k.After(dur, n.txDoneFn).SetSource(sim.SrcMAC)
+}
+
+// txDone arms the ACK timeout once the data frame has left the air.
+func (n *node) txDone() {
+	if n.st == stTx {
+		n.st = stWaitAck
+		timeout := n.e.cfg.SIFS + n.e.ackAirtime() + 2*n.e.cfg.SlotTime
+		n.timeoutEv = n.e.k.After(timeout, n.ackTimeoutFn).SetSource(sim.SrcMAC)
+	}
 }
 
 // FrameReceived implements phy.Listener.
@@ -334,7 +343,7 @@ func (n *node) sendAck(f *phy.Frame) {
 			Kind: phy.Ack, Dst: f.Src, Bytes: phy.AckBytes,
 			Rate: n.e.cfg.AckRate, Duration: dur, Payload: p, ObsSpan: p.Span,
 		})
-		n.e.k.After(dur, func() { n.tryScheduleFire() })
+		n.e.k.After(dur, n.retryFn)
 	})
 }
 

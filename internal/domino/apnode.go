@@ -63,6 +63,9 @@ type apNode struct {
 	ackEv        sim.Event
 
 	watchdog sim.Event
+	// watchdogFn is the watchdog's expiry callback, bound once per AP so
+	// rearming it allocates no closure.
+	watchdogFn func()
 
 	// refSpan/depth track the causal span of this AP's current time
 	// reference (last trigger, own slot, or own broadcast) and its
@@ -142,17 +145,20 @@ func (ap *apNode) armWatchdog() {
 		return
 	}
 	d := sim.Time(ap.e.cfg.WatchdogSlots) * ap.e.cfg.slotDuration()
-	ap.watchdog = ap.e.k.After(d, func() {
-		ap.watchdog = sim.Event{}
-		ap.e.SelfStarts++
-		// The chain died: this self-start roots a fresh trigger cascade.
-		ap.refSpan, ap.depth = 0, 0
-		ap.e.trace(TraceEvent{Slot: -1, Kind: "selfstart", Node: ap.id})
-		if ap.armed == nil {
-			ap.execNext(0, ap.ptr+1)
-		}
-		ap.armWatchdog()
-	})
+	ap.watchdog = ap.e.k.After(d, ap.watchdogFn)
+}
+
+// watchdogExpired self-starts the AP after its trigger chain went silent.
+func (ap *apNode) watchdogExpired() {
+	ap.watchdog = sim.Event{}
+	ap.e.SelfStarts++
+	// The chain died: this self-start roots a fresh trigger cascade.
+	ap.refSpan, ap.depth = 0, 0
+	ap.e.trace(TraceEvent{Slot: -1, Kind: "selfstart", Node: ap.id})
+	if ap.armed == nil {
+		ap.execNext(0, ap.ptr+1)
+	}
+	ap.armWatchdog()
 }
 
 // execNext pops and executes the next pending action. hint is the slot index

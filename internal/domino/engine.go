@@ -2,6 +2,7 @@ package domino
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/convert"
@@ -287,6 +288,7 @@ func (e *Engine) ensureNode(id phy.NodeID) {
 	if e.net.IsAP[id] {
 		if _, ok := e.aps[id]; !ok {
 			ap := &apNode{e: e, id: id}
+			ap.watchdogFn = ap.watchdogExpired
 			e.aps[id] = ap
 			e.medium.Register(id, ap)
 		}
@@ -755,6 +757,6 @@ func (e *Engine) clientSenderInSlot(client phy.NodeID, idx int) bool {
 // sortedBroadcastTargets returns a deterministic copy of targets.
 func sortedBroadcastTargets(ts []phy.NodeID) []phy.NodeID {
 	out := append([]phy.NodeID(nil), ts...)
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }

@@ -120,9 +120,13 @@ type Engine interface {
 	QueueLen(link int) int
 }
 
-// Queue is a bounded FIFO of packets for one link.
+// Queue is a bounded FIFO of packets for one link, stored as a ring deque so
+// that Pop and the PushFront of a retransmission are O(1). The ring is
+// allocated on the first push and doubles when full; it never shrinks.
 type Queue struct {
-	pkts []*Packet
+	ring []*Packet // power-of-two length; nil until the first push
+	head int       // index of the head packet in ring
+	n    int       // packets held
 	cap  int
 
 	// OnDepth, when non-nil, observes the backlog after every accepted push,
@@ -130,6 +134,9 @@ type Queue struct {
 	// Nil (the default) costs one branch per queue operation.
 	OnDepth func(depth int)
 }
+
+// minRing is the ring length allocated on the first push.
+const minRing = 16
 
 // NewQueue returns a queue bounded to capacity packets (0 means
 // DefaultQueueCap).
@@ -140,50 +147,76 @@ func NewQueue(capacity int) *Queue {
 	return &Queue{cap: capacity}
 }
 
+// grow doubles the ring (or allocates the first one), unwrapping the packets
+// to start at index 0.
+func (q *Queue) grow() {
+	size := 2 * len(q.ring)
+	if size == 0 {
+		size = minRing
+	}
+	ring := make([]*Packet, size)
+	k := copy(ring, q.ring[q.head:])
+	copy(ring[k:], q.ring[:q.head])
+	q.ring, q.head = ring, 0
+}
+
 // Push appends p and reports whether it was accepted (false: tail drop).
 func (q *Queue) Push(p *Packet) bool {
-	if len(q.pkts) >= q.cap {
+	if q.n >= q.cap {
 		return false
 	}
-	q.pkts = append(q.pkts, p)
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = p
+	q.n++
 	if q.OnDepth != nil {
-		q.OnDepth(len(q.pkts))
+		q.OnDepth(q.n)
 	}
 	return true
 }
 
 // Pop removes and returns the head, or nil when empty.
 func (q *Queue) Pop() *Packet {
-	if len(q.pkts) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	p := q.pkts[0]
-	q.pkts[0] = nil
-	q.pkts = q.pkts[1:]
+	p := q.ring[q.head]
+	q.ring[q.head] = nil
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
 	if q.OnDepth != nil {
-		q.OnDepth(len(q.pkts))
+		q.OnDepth(q.n)
 	}
 	return p
 }
 
 // Peek returns the head without removing it, or nil when empty.
 func (q *Queue) Peek() *Packet {
-	if len(q.pkts) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	return q.pkts[0]
+	return q.ring[q.head]
 }
 
-// PushFront reinserts a packet at the head (retransmission priority).
+// PushFront reinserts a packet at the head (retransmission priority). It
+// always succeeds, even on a full queue: a packet popped for service and put
+// back must not be lost, so the backlog may exceed Cap by the packets
+// re-inserted this way.
 func (q *Queue) PushFront(p *Packet) {
-	q.pkts = append([]*Packet{p}, q.pkts...)
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	q.head = (q.head - 1) & (len(q.ring) - 1)
+	q.ring[q.head] = p
+	q.n++
 	if q.OnDepth != nil {
-		q.OnDepth(len(q.pkts))
+		q.OnDepth(q.n)
 	}
 }
 
 // Len returns the backlog in packets.
-func (q *Queue) Len() int { return len(q.pkts) }
+func (q *Queue) Len() int { return q.n }
 
 // Cap returns the queue bound.
 func (q *Queue) Cap() int { return q.cap }

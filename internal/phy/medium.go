@@ -24,25 +24,28 @@ type Medium struct {
 	Transmissions int
 	Delivered     int
 	Corrupted     int
+	// FPClamps counts floating-point guards that changed the medium's state:
+	// a node's summed power (total or signature share) pulled back up to
+	// zero, or a reception's worst-case interference pulled up to the noise
+	// floor. Each is residue from adding and later subtracting the same
+	// powers in another order.
+	FPClamps int
 
 	probe Probe
 
+	// thr caches each data rate's SINR threshold in dB and as a linear band,
+	// so judging a reception needs no logarithm away from the boundary.
+	thr []rateThreshold
+
 	// Free lists. Transmissions and receptions churn once per frame; pooling
-	// them (with their power vectors and reception lists) keeps the per-frame
-	// path allocation-free in steady state. The scratch stacks below are
+	// them (with their reception lists) keeps the per-frame path
+	// allocation-free in steady state. The scratch stacks below are
 	// pools too, but stack-shaped: Transmit re-enters itself when a notified
 	// listener reacts by transmitting, so each nesting level pops its own
 	// buffer and pushes it back when done.
-	txFree       []*transmission
-	rxFree       []*reception
-	carrierFree  [][]NodeID
-	outcomesFree [][]outcome
-}
-
-type outcome struct {
-	r   *reception
-	ok  bool
-	det *SignatureDetection
+	txFree      []*transmission
+	rxFree      []*reception
+	carrierFree [][]NodeID
 }
 
 // Probe observes medium activity for the observability layer. Callbacks run
@@ -77,7 +80,19 @@ type nodeState struct {
 	activeSigs []sigRec
 	tx         *transmission
 	busy       bool
-	recs       []*reception
+	// dataRecs holds the in-flight data and ACK receptions that can still
+	// decode (not failed) in start order. Reception i's segment is the
+	// largest totalMw seen from its start until the next one started, plus
+	// the segments of later receptions that ended before it. dataSeg[i]
+	// holds it for all but the newest reception, whose segment is segTail
+	// (kept here so a transmission start touches no other memory). Their
+	// interference is folded lazily from these (retireData).
+	dataRecs []*reception
+	dataSeg  []float64
+	segTail  float64
+	// sigRecs holds every in-flight signature reception, folded eagerly
+	// because its interference depends on sigMw and activeSigs.
+	sigRecs []*reception
 }
 
 type sigRec struct {
@@ -90,8 +105,9 @@ type sigRec struct {
 // power is within 10 dB of the target's.
 func (ns *nodeState) combinedSigsNear(targetMw float64) int {
 	total := 0
+	floor := targetMw / 10
 	for _, r := range ns.activeSigs {
-		if r.powerMw >= targetMw/10 {
+		if r.powerMw >= floor {
 			total += r.n
 		}
 	}
@@ -101,12 +117,9 @@ func (ns *nodeState) combinedSigsNear(targetMw float64) int {
 type transmission struct {
 	frame *Frame
 	src   NodeID
-	// powerMw[j] is this transmission's received power at node j, cached so
-	// start and end adjust node totals by exactly the same amount.
-	powerMw []float64
-	recs    []*reception
-	sig     bool
-	sigN    int
+	recs  []*reception
+	sig   bool
+	sigN  int
 	// end is built once per pooled struct and rescheduled on every reuse, so
 	// the air-time timer costs no closure allocation per frame.
 	end func()
@@ -118,10 +131,18 @@ type reception struct {
 	powerMw float64
 	// interfMaxMw is the worst instantaneous interference-plus-noise (mW)
 	// observed during the frame. For Signature frames, signature-frame power
-	// is excluded (orthogonal codes) and maxSigs tracks the combination load.
+	// is excluded (orthogonal codes) and maxSigs tracks the combination load;
+	// the first is folded at every transmission start, the second at every
+	// signature start. For data and ACK frames it is set once, when the frame
+	// ends, from the node's segments.
 	interfMaxMw float64
 	maxSigs     int
-	failed      bool // half-duplex violation
+	// failed marks a reception lost before its end: a half-duplex
+	// violation, or (data and ACK frames) a signal that misses the rate
+	// threshold even over bare noise, so no interference can matter.
+	failed bool
+	// ok is the outcome, set when the frame ends.
+	ok bool
 	// det is the signature-detection report handed to the listener, embedded
 	// here so judging a signature frame allocates nothing. The pointer is
 	// only valid during the FrameReceived callback (the reception recycles
@@ -163,8 +184,8 @@ func NewMedium(k *sim.Kernel, rssDBm [][]float64, cfg Config) *Medium {
 	}
 }
 
-// allocTx returns a pooled transmission with its power vector and reception
-// list ready for reuse.
+// allocTx returns a pooled transmission with its reception list ready for
+// reuse.
 func (m *Medium) allocTx() *transmission {
 	if n := len(m.txFree) - 1; n >= 0 {
 		tx := m.txFree[n]
@@ -172,7 +193,7 @@ func (m *Medium) allocTx() *transmission {
 		m.txFree = m.txFree[:n]
 		return tx
 	}
-	tx := &transmission{powerMw: make([]float64, len(m.nodes))}
+	tx := &transmission{}
 	tx.end = func() { m.endTransmission(tx) }
 	return tx
 }
@@ -213,22 +234,6 @@ func (m *Medium) popCarrier() []NodeID {
 
 func (m *Medium) pushCarrier(buf []NodeID) {
 	m.carrierFree = append(m.carrierFree, buf[:0])
-}
-
-func (m *Medium) popOutcomes() []outcome {
-	if n := len(m.outcomesFree) - 1; n >= 0 {
-		buf := m.outcomesFree[n]
-		m.outcomesFree = m.outcomesFree[:n]
-		return buf
-	}
-	return make([]outcome, 0, len(m.nodes))
-}
-
-func (m *Medium) pushOutcomes(buf []outcome) {
-	for i := range buf {
-		buf[i] = outcome{}
-	}
-	m.outcomesFree = append(m.outcomesFree, buf[:0])
 }
 
 // NumNodes returns the number of radios on the medium.
@@ -294,8 +299,14 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 	ns.tx = tx
 
 	// Half-duplex: starting a transmission destroys anything the node was
-	// receiving.
-	for _, r := range ns.recs {
+	// receiving. Failed data receptions need no interference, so they leave
+	// the node's list.
+	for _, r := range ns.dataRecs {
+		r.failed = true
+	}
+	clear(ns.dataRecs)
+	ns.dataRecs, ns.dataSeg = ns.dataRecs[:0], ns.dataSeg[:0]
+	for _, r := range ns.sigRecs {
 		r.failed = true
 	}
 
@@ -309,6 +320,13 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 		}
 	}
 	tx.sig, tx.sigN = sig, sigN
+	// A data or ACK reception whose S/noise is already below the threshold
+	// band cannot decode: its interference-plus-noise is at least noise, so
+	// its S/I at the end would be below the band too. It is failed at once.
+	var lo float64
+	if !sig {
+		lo = m.threshold(f.Rate).lo
+	}
 
 	rowMw := m.rssMw[src]
 	carrier := m.popCarrier()
@@ -317,23 +335,38 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 			continue
 		}
 		p := rowMw[j]
-		tx.powerMw[j] = p
 		dst := &m.nodes[j]
 		dst.totalMw += p
 		if sig {
 			dst.sigMw += p
 			dst.activeSigs = append(dst.activeSigs, sigRec{tx: tx, powerMw: p, n: sigN})
 		}
-		// Raise the observed interference for every in-flight reception.
-		for _, r := range dst.recs {
-			m.foldInterference(r, dst)
+		// Raise the observed interference for every in-flight reception:
+		// signature receptions fold now, data receptions only record the new
+		// total in the newest reception's segment.
+		for _, r := range dst.sigRecs {
+			m.foldSignature(r, dst, sig)
+		}
+		if len(dst.dataRecs) > 0 && dst.totalMw > dst.segTail {
+			dst.segTail = dst.totalMw
 		}
 		// Start a reception if the frame is strong enough to matter.
 		if dst.listener != nil && p >= m.floorMw {
 			r := m.allocRx()
 			r.tx, r.at, r.powerMw, r.failed = tx, NodeID(j), p, dst.tx != nil
-			m.foldInterference(r, dst)
-			dst.recs = append(dst.recs, r)
+			if sig {
+				m.foldSignature(r, dst, true)
+				dst.sigRecs = append(dst.sigRecs, r)
+			} else if r.failed || p/m.noiseMw < lo {
+				r.failed = true
+			} else {
+				if n := len(dst.dataSeg); n > 0 {
+					dst.dataSeg[n-1] = dst.segTail
+				}
+				dst.dataRecs = append(dst.dataRecs, r)
+				dst.dataSeg = append(dst.dataSeg, 0) // set from segTail when a newer one starts
+				dst.segTail = dst.totalMw
+			}
 			tx.recs = append(tx.recs, r)
 		}
 		if m.carrierFlipped(dst) {
@@ -351,22 +384,68 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 	m.k.After(f.AirTime(), tx.end).SetSource(sim.SrcPHY)
 }
 
-// foldInterference updates r's worst-case interference from the current state
-// at node dst.
-func (m *Medium) foldInterference(r *reception, dst *nodeState) {
-	var interf float64
-	if r.tx.frame.Kind == Signature {
-		// Orthogonal spreading: other signatures do not count as noise, but
-		// the combination load of comparably strong ones does.
-		interf = dst.totalMw - dst.sigMw + m.noiseMw
-		if n := dst.combinedSigsNear(r.powerMw); n > r.maxSigs {
-			r.maxSigs = n
-		}
-	} else {
-		interf = dst.totalMw - r.powerMw + m.noiseMw
+// foldSignature updates a signature reception's worst-case interference
+// and, when sigStart reports that a signature just started, its combination
+// load from the current state at node dst. The load counts active
+// signatures, which only a signature start can add.
+func (m *Medium) foldSignature(r *reception, dst *nodeState, sigStart bool) {
+	// Orthogonal spreading: other signatures do not count as noise, but the
+	// combination load of comparably strong ones does.
+	m.raiseInterference(r, dst.totalMw-dst.sigMw+m.noiseMw)
+	if !sigStart {
+		return
 	}
+	if n := dst.combinedSigsNear(r.powerMw); n > r.maxSigs {
+		r.maxSigs = n
+	}
+}
+
+// retireData removes a data or ACK reception that has not failed from its
+// node's list and sets its worst-case interference.
+//
+// Folding eagerly would evaluate (T − p) + noise, clamped to noise, at every
+// transmission start during the frame, where T is the node's totalMw then,
+// and keep the maximum. Rounding to nearest is monotone, so that expression
+// is monotone in T and its maximum is the expression at the largest T. The
+// largest T during the frame is the maximum of the segments from this
+// reception to the newest one: each transmission start lands in the newest
+// segment, and a reception that ends hands its segment to the one before it.
+func (m *Medium) retireData(dst *nodeState, r *reception) {
+	recs, seg := dst.dataRecs, dst.dataSeg
+	last := len(recs) - 1
+	seg[last] = dst.segTail
+	i := 0
+	for recs[i] != r {
+		i++
+	}
+	maxT := seg[i]
+	for _, t := range seg[i+1:] {
+		if t > maxT {
+			maxT = t
+		}
+	}
+	m.raiseInterference(r, maxT-r.powerMw+m.noiseMw)
+	if i > 0 && seg[i] > seg[i-1] {
+		seg[i-1] = seg[i]
+	}
+	copy(recs[i:], recs[i+1:])
+	copy(seg[i:], seg[i+1:])
+	recs[last] = nil
+	dst.dataRecs, dst.dataSeg = recs[:last], seg[:last]
+	if last > 0 {
+		dst.segTail = seg[last-1]
+	}
+}
+
+// raiseInterference folds one interference-plus-noise level into r's worst
+// case. A level below the noise floor is FP residue and counts as the floor;
+// the clamp changes r only while its worst case is still unset.
+func (m *Medium) raiseInterference(r *reception, interf float64) {
 	if interf < m.noiseMw { // guard against FP residue
 		interf = m.noiseMw
+		if r.interfMaxMw < interf {
+			m.FPClamps++
+		}
 	}
 	if interf > r.interfMaxMw {
 		r.interfMaxMw = interf
@@ -376,20 +455,26 @@ func (m *Medium) foldInterference(r *reception, dst *nodeState) {
 func (m *Medium) endTransmission(tx *transmission) {
 	sig := tx.sig
 	m.nodes[tx.src].tx = nil
+	// The RSS row is fixed, so each node loses exactly the power the start
+	// added.
+	rowMw := m.rssMw[tx.src]
 	carrier := m.popCarrier()
 	for j := range m.nodes {
 		if NodeID(j) == tx.src {
 			continue
 		}
 		dst := &m.nodes[j]
-		dst.totalMw -= tx.powerMw[j]
+		p := rowMw[j]
+		dst.totalMw -= p
 		if dst.totalMw < 0 { // guard against FP residue
 			dst.totalMw = 0
+			m.FPClamps++
 		}
 		if sig {
-			dst.sigMw -= tx.powerMw[j]
+			dst.sigMw -= p
 			if dst.sigMw < 0 {
 				dst.sigMw = 0
+				m.FPClamps++
 			}
 			for i, r := range dst.activeSigs {
 				if r.tx == tx {
@@ -406,53 +491,102 @@ func (m *Medium) endTransmission(tx *transmission) {
 	// Judge receptions while the state is settled, then notify: carrier
 	// transitions first (the channel went idle as the frame ended), then the
 	// frame outcomes.
-	outcomes := m.popOutcomes()
 	if m.probe != nil {
 		m.probe.TxEnd(tx.frame, m.k.Now())
 	}
+	var thr rateThreshold
+	if !sig {
+		thr = m.threshold(tx.frame.Rate)
+	}
 	for _, r := range tx.recs {
 		dst := &m.nodes[r.at]
-		dst.recs = removeReception(dst.recs, r)
-		ok, det := m.judge(r)
-		if ok {
+		if sig {
+			dst.sigRecs = removeReception(dst.sigRecs, r)
+			r.ok = m.judgeSignature(r)
+		} else if !r.failed {
+			m.retireData(dst, r)
+			r.ok = thr.decodes(r.powerMw / r.interfMaxMw)
+		}
+		if r.ok {
 			m.Delivered++
 		} else {
 			m.Corrupted++
 		}
 		if m.probe != nil {
-			m.probe.RxOutcome(tx.frame, r.at, ok, m.k.Now())
+			m.probe.RxOutcome(tx.frame, r.at, r.ok, m.k.Now())
 		}
-		outcomes = append(outcomes, outcome{r, ok, det})
 	}
 	m.notifyCarrier(carrier)
 	m.pushCarrier(carrier)
 	frame := tx.frame
-	for _, o := range outcomes {
-		m.nodes[o.r.at].listener.FrameReceived(frame, o.ok, o.det)
+	for _, r := range tx.recs {
+		var det *SignatureDetection
+		if sig {
+			det = &r.det
+		}
+		m.nodes[r.at].listener.FrameReceived(frame, r.ok, det)
 	}
 	// Recycle only after every callback ran: listeners must never observe a
 	// reused struct mid-notification.
-	for _, o := range outcomes {
-		m.releaseRx(o.r)
+	for _, r := range tx.recs {
+		m.releaseRx(r)
 	}
-	m.pushOutcomes(outcomes)
 	m.releaseTx(tx)
 }
 
-// judge decides a reception's outcome at frame end.
-func (m *Medium) judge(r *reception) (bool, *SignatureDetection) {
+// sinrGuard is the relative half-width of the band around a linear SINR
+// threshold inside which decodes falls back to comparing in dB. It is far
+// wider than the few-ulp errors of the cached power of ten and of the
+// logarithm, so outside the band the linear compare decides exactly as the dB
+// compare would.
+const sinrGuard = 1e-9
+
+// rateThreshold is one data rate's SINR threshold, in dB and as the linear
+// band [lo, hi] around 10^(dB/10).
+type rateThreshold struct {
+	rate   Rate
+	db     float64
+	lo, hi float64
+}
+
+// threshold returns the cached threshold for rate, adding it on first use.
+func (m *Medium) threshold(rate Rate) rateThreshold {
+	for _, t := range m.thr {
+		if t.rate == rate {
+			return t
+		}
+	}
+	db := SNRThresholdDB(rate)
+	lin := math.Pow(10, db/10)
+	t := rateThreshold{rate: rate, db: db, lo: lin * (1 - sinrGuard), hi: lin * (1 + sinrGuard)}
+	m.thr = append(m.thr, t)
+	return t
+}
+
+// decodes reports whether a data or ACK frame with signal-to-interference
+// ratio S/I decodes: whether 10·log10(S/I) reaches the threshold. It compares
+// linearly and takes the logarithm only inside the guard band.
+func (t rateThreshold) decodes(ratio float64) bool {
+	switch {
+	case ratio > t.hi:
+		return true
+	case ratio < t.lo:
+		return false
+	}
+	return 10*math.Log10(ratio) >= t.db
+}
+
+// judgeSignature decides a signature reception's outcome at frame end and
+// fills its detection report.
+func (m *Medium) judgeSignature(r *reception) bool {
 	// One log instead of two: 10·log10(S/I) == S_dBm − I_dBm.
 	sinr := 10 * math.Log10(r.powerMw/r.interfMaxMw)
-	if r.tx.frame.Kind != Signature {
-		return !r.failed && sinr >= SNRThresholdDB(r.tx.frame.Rate), nil
-	}
 	r.det = SignatureDetection{Combined: r.maxSigs, SINRdB: sinr}
-	det := &r.det
 	if r.failed || sinr < m.cfg.SigSINRdB {
-		return false, det
+		return false
 	}
 	p := m.cfg.Detector(r.maxSigs)
-	return m.k.Rand().Float64() < p, det
+	return m.k.Rand().Float64() < p
 }
 
 func removeReception(recs []*reception, r *reception) []*reception {

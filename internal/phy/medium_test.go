@@ -463,6 +463,34 @@ func TestDefaultDetectorShape(t *testing.T) {
 	}
 }
 
+// TestMediumSteadyStateAllocs gates the per-frame path: once the pools are
+// warm, overlapping data, ACK and signature frames (with half-duplex
+// failures and out-of-order ends) allocate nothing inside the medium.
+func TestMediumSteadyStateAllocs(t *testing.T) {
+	k := sim.New(1)
+	m := NewMedium(k, uniformRSS(12, -70), DefaultConfig())
+	for i := 0; i < 12; i++ {
+		m.Register(NodeID(i), &countingListener{})
+	}
+	frames := []*Frame{
+		{Kind: Data, Dst: Broadcast, Bytes: 1500, Rate: Rate6},
+		{Kind: Signature, Dst: Broadcast, Duration: SignatureDuration,
+			Payload: &SignaturePayload{Sigs: []int{1, 2}}},
+		{Kind: Data, Dst: Broadcast, Bytes: 100, Rate: Rate54},
+		{Kind: Ack, Dst: 0, Bytes: AckBytes, Rate: Rate12},
+	}
+	cycle := func() {
+		for i, f := range frames {
+			m.Transmit(NodeID(i), f)
+		}
+		k.Run()
+	}
+	cycle() // warm the pools
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a cycle of %d overlapping frames allocates %.1f times, want 0", len(frames), allocs)
+	}
+}
+
 func BenchmarkMediumBroadcastChurn(b *testing.B) {
 	k := sim.New(1)
 	m := NewMedium(k, uniformRSS(40, -70), DefaultConfig())
@@ -481,4 +509,85 @@ func BenchmarkMediumBroadcastChurn(b *testing.B) {
 	}
 	k.At(0, send)
 	k.Run()
+}
+
+// TestFPClampsCounted forces each floating-point guard on hand-built RSS
+// matrices and checks Medium.FPClamps counts exactly the clamps that changed
+// a value. Node pairs not listed hear each other at -200 dBm; those powers
+// cancel exactly (a+a−a−a) and never clamp.
+func TestFPClampsCounted(t *testing.T) {
+	type tx struct {
+		at    sim.Time
+		src   NodeID
+		frame Frame
+	}
+	long := func(kind FrameKind, d sim.Time) Frame {
+		f := Frame{Kind: kind, Dst: Broadcast, Bytes: 1500, Rate: Rate6}
+		if kind == Signature {
+			f.Duration = d
+			f.Payload = &SignaturePayload{Sigs: []int{0}}
+		}
+		return f
+	}
+	cases := []struct {
+		name string
+		// heard lists {src, dst, dBm} entries on a 4-node -200 dBm matrix.
+		heard [][3]float64
+		txs   []tx
+		want  int
+	}{{
+		// Node 2 sums 1 mW + 1e-17 mW = 1 mW; when both frames have ended
+		// its total is 0 − 1e-17 and clamps once.
+		name:  "total",
+		heard: [][3]float64{{0, 2, 0}, {1, 2, -170}},
+		txs: []tx{
+			{0, 0, long(Data, 0)},
+			{sim.Microsecond, 1, long(Data, 0)},
+		},
+		want: 1,
+	}, {
+		// The same sums as signatures: the total and the signature share
+		// both end at −1e-17 and clamp.
+		name:  "total and signature share",
+		heard: [][3]float64{{0, 2, 0}, {1, 2, -170}},
+		txs: []tx{
+			{0, 0, long(Signature, sim.Millisecond)},
+			{sim.Microsecond, 1, long(Signature, 2*sim.Millisecond)},
+		},
+		want: 2,
+	}, {
+		// Node 3 sums a 1 mW data frame and a 1e-6 mW signature; when the
+		// data frame ends the total is 1e-6 − 8.2e-17, below the signature
+		// share. A 1e-8 mW signature starting then has total − share +
+		// noise < noise as its first interference level, which clamps. (The
+		// first signature's level clamps too, but its worst case is already
+		// ~1 mW, so nothing changes and nothing is counted.) The residue
+		// leaves the total at −8.2e-17 when the last frame ends, which
+		// clamps again.
+		name:  "interference",
+		heard: [][3]float64{{0, 3, 0}, {1, 3, -60}, {2, 3, -80}},
+		txs: []tx{
+			{0, 0, long(Data, 0)},
+			{10 * sim.Microsecond, 1, long(Signature, 3*sim.Millisecond)},
+			{2500 * sim.Microsecond, 2, long(Signature, 10*sim.Microsecond)},
+		},
+		want: 2,
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rss := uniformRSS(4, -200)
+			for _, h := range c.heard {
+				rss[int(h[0])][int(h[1])] = h[2]
+			}
+			k, m, _ := newTestMedium(t, rss)
+			for _, x := range c.txs {
+				x := x
+				k.At(x.at, func() { m.Transmit(x.src, &x.frame) })
+			}
+			k.Run()
+			if m.FPClamps != c.want {
+				t.Fatalf("FPClamps = %d, want %d", m.FPClamps, c.want)
+			}
+		})
+	}
 }
