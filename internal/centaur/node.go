@@ -244,7 +244,7 @@ func (n *node) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) {
 	switch f.Kind {
 	case phy.Data:
 		p := f.Payload.(*mac.Packet)
-		span := f.ObsSpan
+		span, src := f.ObsSpan, f.Src
 		n.e.k.After(phy.SIFS, func() {
 			if n.e.medium.Transmitting(n.id) {
 				return
@@ -255,7 +255,7 @@ func (n *node) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) {
 			}
 			dur := phy.Airtime(phy.AckBytes, n.e.cfg.Rate)
 			n.e.medium.Transmit(n.id, &phy.Frame{
-				Kind: phy.Ack, Dst: f.Src, Bytes: phy.AckBytes,
+				Kind: phy.Ack, Dst: src, Bytes: phy.AckBytes,
 				Rate: n.e.cfg.Rate, Duration: dur, Payload: p, ObsSpan: span,
 			})
 			n.e.k.After(dur, func() { n.tryScheduleFire() })

@@ -58,6 +58,8 @@ type Engine struct {
 
 	queues []*mac.Queue // by link ID
 	nodes  map[phy.NodeID]*node
+	// acks are the pooled SIFS-ACK timers.
+	acks *sim.Calls[ackCall]
 
 	// Counters mirrored from the paper's diagnostics (§4.2.3 reports ACK
 	// timeout counts).
@@ -110,6 +112,32 @@ type node struct {
 	// Event callbacks bound once per node, so scheduling them allocates no
 	// method value or closure per frame.
 	fireFn, retryFn, txDoneFn, ackTimeoutFn func()
+
+	// frames are the node's data and ACK frames, reused for every
+	// transmission and allocated on first use. Reuse is safe because the
+	// medium and listeners read a frame only until its endTransmission
+	// callbacks return (see phy.Listener), and a DCF node transmits only
+	// from its own timers.
+	frames *frames
+}
+
+type frames struct {
+	data, ack phy.Frame
+}
+
+func (n *node) bufs() *frames {
+	if n.frames == nil {
+		n.frames = new(frames)
+	}
+	return n.frames
+}
+
+// ackCall is a pending SIFS ACK: what the received data frame named, copied
+// while the frame was still valid.
+type ackCall struct {
+	n   *node
+	dst phy.NodeID
+	p   *mac.Packet
 }
 
 // setNAV reserves the medium until t (802.11 virtual carrier sensing).
@@ -132,6 +160,7 @@ func New(k *sim.Kernel, medium *phy.Medium, links []*topo.Link, events mac.Event
 		k: k, medium: medium, links: links, events: events, cfg: cfg,
 		nodes: map[phy.NodeID]*node{},
 	}
+	e.acks = sim.NewCalls(k, func(a ackCall) { a.n.sendAck(a.dst, a.p) })
 	e.queues = make([]*mac.Queue, len(links))
 	for _, l := range links {
 		if l.ID < 0 || l.ID >= len(links) {
@@ -279,10 +308,12 @@ func (n *node) fire() {
 	n.st = stTx
 	p.TxSpan = p.Span // DCF has no aggregate; the packet's span is the attempt
 	dur := n.e.dataAirtime(p.Bytes)
-	n.e.medium.Transmit(n.id, &phy.Frame{
+	f := &n.bufs().data
+	*f = phy.Frame{
 		Kind: phy.Data, Dst: p.Link.Receiver, Bytes: p.Bytes,
 		Rate: n.e.cfg.Rate, Duration: dur, Payload: p, ObsSpan: p.Span,
-	})
+	}
+	n.e.medium.Transmit(n.id, f)
 	n.e.k.After(dur, n.txDoneFn).SetSource(sim.SrcMAC)
 }
 
@@ -318,33 +349,33 @@ func (n *node) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) {
 	}
 	switch f.Kind {
 	case phy.Data:
-		n.sendAck(f)
+		n.e.acks.After(n.e.cfg.SIFS, ackCall{n: n, dst: f.Src, p: f.Payload.(*mac.Packet)})
 	case phy.Ack:
 		n.onAck(f)
 	}
 }
 
-// sendAck responds to a correctly received data frame after SIFS.
-func (n *node) sendAck(f *phy.Frame) {
-	p := f.Payload.(*mac.Packet)
-	n.e.k.After(n.e.cfg.SIFS, func() {
-		if n.e.medium.Transmitting(n.id) {
-			return // half-duplex: cannot ACK while transmitting
-		}
-		// Sending the ACK pre-empts a pending backoff fire; contention
-		// resumes when the channel next goes idle (the ACK itself keeps
-		// neighbours deferring meanwhile).
-		if n.fireEv.Scheduled() {
-			n.fireEv.Cancel()
-			n.fireEv = sim.Event{}
-		}
-		dur := n.e.ackAirtime()
-		n.e.medium.Transmit(n.id, &phy.Frame{
-			Kind: phy.Ack, Dst: f.Src, Bytes: phy.AckBytes,
-			Rate: n.e.cfg.AckRate, Duration: dur, Payload: p, ObsSpan: p.Span,
-		})
-		n.e.k.After(dur, n.retryFn)
-	})
+// sendAck answers a correctly received data frame from dst carrying p; it
+// runs SIFS after the frame ended.
+func (n *node) sendAck(dst phy.NodeID, p *mac.Packet) {
+	if n.e.medium.Transmitting(n.id) {
+		return // half-duplex: cannot ACK while transmitting
+	}
+	// Sending the ACK pre-empts a pending backoff fire; contention resumes
+	// when the channel next goes idle (the ACK itself keeps neighbours
+	// deferring meanwhile).
+	if n.fireEv.Scheduled() {
+		n.fireEv.Cancel()
+		n.fireEv = sim.Event{}
+	}
+	dur := n.e.ackAirtime()
+	f := &n.bufs().ack
+	*f = phy.Frame{
+		Kind: phy.Ack, Dst: dst, Bytes: phy.AckBytes,
+		Rate: n.e.cfg.AckRate, Duration: dur, Payload: p, ObsSpan: p.Span,
+	}
+	n.e.medium.Transmit(n.id, f)
+	n.e.k.After(dur, n.retryFn)
 }
 
 // onAck completes the pending transmission.

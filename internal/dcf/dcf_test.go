@@ -221,6 +221,7 @@ func TestRetryCountsAndDeterminism(t *testing.T) {
 func nil2(t *testing.T) *testing.T { return t }
 
 func BenchmarkDCFSecondOfAir(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		net := topo.TwoPairs(topo.SameContention)
 		links := net.BuildLinks(true, false)

@@ -4,6 +4,8 @@
 package domino
 
 import (
+	"slices"
+
 	"repro/internal/convert"
 	"repro/internal/mac"
 	"repro/internal/phy"
@@ -27,13 +29,31 @@ type action struct {
 	link *topo.Link // for aSend
 }
 
-// armedTx is a transmission waiting for its slot start; a duplicate trigger
-// re-references it ("the transmitter uses the last correctly received trigger
-// as time reference", §3.4).
-type armedTx struct {
-	act action
-	ev  sim.Event
-	at  sim.Time
+// txBufs is the frame, data metadata and signature payload a node reuses for
+// each transmission, allocated on first use. Reuse is safe because the medium
+// and every listener read a frame and its payload only until the frame's
+// endTransmission callbacks return (see phy.Listener), and a DOMINO node
+// cannot transmit before then: it transmits from its own timers and
+// handlers, and no handler of another node calls into it.
+type txBufs struct {
+	frame phy.Frame
+	meta  meta
+	sig   phy.SignaturePayload
+}
+
+// signature fills the reused signature payload: the targets' signature IDs
+// (every node's signature index is its node ID; the START and ROP
+// signatures are implicit in the payload flags), sorted so broadcasts are
+// deterministic.
+func (b *txBufs) signature(targets []phy.NodeID, rop bool, slotHint int, span int64, depth int) *phy.SignaturePayload {
+	sigs := b.sig.Sigs[:0]
+	for _, t := range targets {
+		sigs = append(sigs, int(t))
+	}
+	slices.Sort(sigs)
+	b.sig = phy.SignaturePayload{Sigs: sigs, Start: true, ROP: rop,
+		SlotHint: slotHint, ObsSpan: span, ObsDepth: depth}
+	return &b.sig
 }
 
 // ----------------------------------------------------------------------------
@@ -57,15 +77,22 @@ type apNode struct {
 	lastSlotStart sim.Time
 
 	armed *armedTx
+	// held lists the slots that this AP's pending armed transmissions and
+	// boundary polls will read when they fire (see lowWater).
+	held []int
 
 	inflight     []*mac.Packet
 	inflightLink *topo.Link
 	ackEv        sim.Event
 
 	watchdog sim.Event
-	// watchdogFn is the watchdog's expiry callback, bound once per AP so
-	// rearming it allocates no closure.
-	watchdogFn func()
+	// watchdogFn and ackTimeoutFn are the watchdog's and the ACK timeout's
+	// callbacks, bound once per AP so rearming them allocates no closure.
+	watchdogFn, ackTimeoutFn func()
+	// rssAtAP is the received power of a client's report at this AP.
+	rssAtAP func(phy.NodeID) float64
+
+	tx *txBufs
 
 	// refSpan/depth track the causal span of this AP's current time
 	// reference (last trigger, own slot, or own broadcast) and its
@@ -74,11 +101,51 @@ type apNode struct {
 	depth   int
 }
 
+// bufs returns the AP's reused transmission buffers.
+func (ap *apNode) bufs() *txBufs {
+	if ap.tx == nil {
+		ap.tx = new(txBufs)
+	}
+	return ap.tx
+}
+
+// hold records that a pending timer of this AP will read slot; unhold drops
+// one such record when the timer fires or is cancelled.
+func (ap *apNode) hold(slot int) { ap.held = append(ap.held, slot) }
+
+func (ap *apNode) unhold(slot int) {
+	for i, s := range ap.held {
+		if s == slot {
+			last := len(ap.held) - 1
+			ap.held[i] = ap.held[last]
+			ap.held = ap.held[:last]
+			return
+		}
+	}
+}
+
+// lowWater is the lowest global slot this AP may still read: findSlotFor
+// looks back three slots from ptr, free-running measures from lastSlot, the
+// next batch's arrival reads from known, selfTrigger reads the gap before
+// the first pending duty, and pending armed transmissions and boundary
+// polls read their own slots. Engine.retire keeps every slot at or above
+// the minimum over all APs.
+func (ap *apNode) lowWater() int {
+	w := min(ap.ptr-3, ap.lastSlot, ap.known)
+	if len(ap.actions) > 0 {
+		w = min(w, ap.actions[0].slot-1)
+	}
+	for _, s := range ap.held {
+		w = min(w, s)
+	}
+	return w
+}
+
 // receiveSchedule integrates newly arrived slots (wired dispatch callback).
 func (ap *apNode) receiveSchedule(newKnown int) {
 	e := ap.e
 	for idx := ap.known; idx < newKnown; idx++ {
-		slot := e.slots[idx]
+		slot := e.slot(idx).rel
 		for _, en := range slot.Entries {
 			if en.Link.Sender == ap.id {
 				ap.actions = append(ap.actions, action{slot: idx, kind: aSend, link: en.Link})
@@ -117,13 +184,13 @@ func (ap *apNode) bootstrap() {
 		ap.execNext(0, 0)
 		return
 	}
-	if len(ap.e.slots) == 0 {
+	if ap.e.known() == 0 {
 		return
 	}
 	// If the front of the schedule is one of our clients' uplinks, kick the
 	// client with a signature (paper §3.3); any pending poll action will be
 	// triggered by the slot's end-of-slot broadcast.
-	for _, en := range ap.e.slots[0].Entries {
+	for _, en := range ap.e.slot(0).rel.Entries {
 		if !en.Link.Downlink && en.Link.AP == ap.id {
 			client := en.Link.Sender
 			ap.sendSignature(0, []phy.NodeID{client}, false)
@@ -186,12 +253,11 @@ func (ap *apNode) execNext(delay sim.Time, hint int) {
 
 // arm schedules a transmission relative to the current time reference.
 func (ap *apNode) arm(act action, delay sim.Time) {
-	tx := &armedTx{act: act, at: ap.e.k.Now()}
-	tx.ev = ap.e.k.After(delay, func() {
-		ap.armed = nil
-		ap.sendData(act)
-	})
-	ap.armed = tx
+	if ap.armed != nil {
+		ap.e.armOverlaps++
+	}
+	ap.hold(act.slot)
+	ap.armed = ap.e.newArmed(ap, nil, act, delay)
 }
 
 // onTrigger handles detection of this AP's own signature. The S′ sequence
@@ -211,8 +277,11 @@ func (ap *apNode) onTrigger(pl *phy.SignaturePayload) {
 		// Re-reference an armed transmission for this very slot ("the
 		// transmitter uses the last correctly received trigger", §3.4).
 		if ap.armed.act.slot == hint && e.k.Now()-ap.armed.at < e.cfg.slotDuration()/2 {
-			ap.armed.ev.Cancel()
-			ap.arm(ap.armed.act, delay)
+			act := ap.armed.act
+			e.cancelArmed(ap.armed)
+			ap.armed = nil
+			e.rearms++
+			ap.arm(act, delay)
 		} else {
 			e.TriggerLate++
 		}
@@ -264,7 +333,7 @@ func (ap *apNode) sendData(act action) {
 		e.AckMisses++
 		e.requeueBundle(prevLink.ID, prev)
 	}
-	slot := e.slots[act.slot]
+	slot := e.slot(act.slot).rel
 	ap.ptr = max(ap.ptr, act.slot+1)
 	ap.lastSlot = act.slot
 	ap.lastSlotStart = e.k.Now()
@@ -283,7 +352,8 @@ func (ap *apNode) sendData(act action) {
 			p.TxSpan = slotSpan
 		}
 	}
-	m := &meta{pkts: bundle, slot: act.slot, clientSigs: clientSigs, rop: ropFlag,
+	b := ap.bufs()
+	b.meta = meta{pkts: bundle, slot: act.slot, clientSigs: clientSigs, rop: ropFlag,
 		span: slotSpan, depth: ap.depth,
 		selfNext: e.clientSenderInSlot(act.link.Receiver, act.slot+1),
 		nextWait: e.gapAfter(act.slot)}
@@ -292,24 +362,26 @@ func (ap *apNode) sendData(act action) {
 		e.trace(TraceEvent{Slot: act.slot, Kind: "data", Node: ap.id, Link: act.link, OK: true,
 			Span: slotSpan, Parent: ap.refSpan})
 		dur := e.cfg.dataAirtime()
-		e.medium.Transmit(ap.id, &phy.Frame{
+		b.frame = phy.Frame{
 			Kind: phy.Data, Dst: act.link.Receiver, Bytes: e.cfg.VirtualBytes,
-			Rate: e.cfg.Rate, Duration: dur, Payload: m,
+			Rate: e.cfg.Rate, Duration: dur, Payload: &b.meta,
 			NAV: e.navUntil(act.slot, now), ObsSpan: slotSpan,
-		})
+		}
+		e.medium.Transmit(ap.id, &b.frame)
 		ap.inflight = bundle
 		ap.inflightLink = act.link
 		timeout := dur + phy.SIFS + e.cfg.ackAirtime() + 2*phy.SlotTime
-		ap.ackEv = e.k.After(timeout, func() { ap.ackTimeout(act.link) })
+		ap.ackEv = e.k.After(timeout, ap.ackTimeoutFn)
 	} else {
 		e.FakeSends++
 		e.trace(TraceEvent{Slot: act.slot, Kind: "fake", Node: ap.id, Link: act.link, OK: true,
 			Span: slotSpan, Parent: ap.refSpan})
-		e.medium.Transmit(ap.id, &phy.Frame{
+		b.frame = phy.Frame{
 			Kind: phy.FakeHeader, Dst: act.link.Receiver, Bytes: 0,
-			Rate: e.cfg.Rate, Duration: e.cfg.fakeHeaderAirtime(), Payload: m,
+			Rate: e.cfg.Rate, Duration: e.cfg.fakeHeaderAirtime(), Payload: &b.meta,
 			ObsSpan: slotSpan,
-		})
+		}
+		e.medium.Transmit(ap.id, &b.frame)
 	}
 	// The slot the AP just opened becomes its causal reference.
 	ap.refSpan = slotSpan
@@ -334,10 +406,10 @@ func (ap *apNode) scheduleSelfArm(fromSlot int, slotStart sim.Time) {
 		return
 	}
 	next := ap.actions[0]
-	if next.slot >= len(e.slotOffset) || fromSlot >= len(e.slotOffset) {
+	if next.slot >= e.known() || fromSlot >= e.known() {
 		return
 	}
-	at := slotStart + (e.slotOffset[next.slot] - e.slotOffset[fromSlot])
+	at := slotStart + (e.slot(next.slot).offset - e.slot(fromSlot).offset)
 	if next.kind == aPoll {
 		// The poll runs after its slot's broadcast.
 		at += e.cfg.slotDuration()
@@ -350,21 +422,25 @@ func (ap *apNode) scheduleSelfArm(fromSlot int, slotStart sim.Time) {
 	if delay < 0 {
 		delay = 0
 	}
-	e.k.After(delay, func() {
-		if ap.armed != nil || len(ap.actions) == 0 {
-			return
-		}
-		if ap.actions[0] != next {
-			return // a trigger already consumed it
-		}
-		switch next.kind {
-		case aPoll:
-			ap.execNext(0, next.slot)
-		case aSend:
-			ap.actions = ap.actions[1:]
-			ap.arm(next, 0)
-		}
-	})
+	e.calls.selfArm.After(delay, armCall{ap: ap, act: next})
+}
+
+// selfArmFired runs a free-running self-arm: it executes next unless the AP
+// is already armed or a trigger consumed next first.
+func (ap *apNode) selfArmFired(next action) {
+	if ap.armed != nil || len(ap.actions) == 0 {
+		return
+	}
+	if ap.actions[0] != next {
+		return // a trigger already consumed it
+	}
+	switch next.kind {
+	case aPoll:
+		ap.execNext(0, next.slot)
+	case aSend:
+		ap.actions = ap.actions[1:]
+		ap.arm(next, 0)
+	}
 }
 
 // checkPollSelf fires a pending poll for a slot the AP itself participated
@@ -380,12 +456,14 @@ func (ap *apNode) checkPollSelf(idx int, slotStart sim.Time) {
 	if wait < 0 {
 		wait = 0
 	}
-	ap.e.k.After(wait, func() { ap.doPoll(idx) })
+	ap.hold(idx)
+	ap.e.calls.pollSelf.After(wait, armCall{ap: ap, act: action{slot: idx, kind: aPoll}})
 	if len(ap.actions) > 0 && ap.actions[0].kind == aSend && ap.actions[0].slot == idx+1 {
 		next := ap.actions[0]
 		ap.actions = ap.actions[1:]
 		gap := ap.e.gapAfter(idx)
-		ap.e.k.After(wait, func() { ap.arm(next, gap) })
+		ap.hold(next.slot)
+		ap.e.calls.pollArm.After(wait, armCall{ap: ap, act: next, gap: gap})
 	}
 }
 
@@ -402,7 +480,7 @@ func (ap *apNode) scheduleBroadcast(slot *convert.RelSlot, idx int, slotStart si
 		delay = 0
 	}
 	ropFlag := len(slot.ROPAfter) > 0
-	ap.e.k.After(delay, func() { ap.sendSignature(idx+1, targets, ropFlag) })
+	ap.e.calls.bcast.After(delay, sigCall{ap: ap, slotHint: idx + 1, targets: targets, rop: ropFlag})
 }
 
 func (ap *apNode) sendSignature(slotHint int, targets []phy.NodeID, ropFlag bool) {
@@ -410,26 +488,26 @@ func (ap *apNode) sendSignature(slotHint int, targets []phy.NodeID, ropFlag bool
 	if e.medium.Transmitting(ap.id) {
 		return
 	}
-	sigs := sortedBroadcastTargets(targets)
 	var bSpan int64
 	if e.sp != nil {
 		bSpan = e.sp.Next()
 	}
 	e.trace(TraceEvent{Slot: slotHint, Kind: "bcast", Node: ap.id, OK: true,
 		Span: bSpan, Parent: ap.refSpan})
-	e.medium.Transmit(ap.id, &phy.Frame{
+	b := ap.bufs()
+	b.frame = phy.Frame{
 		Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.cfg.sigFrameDuration(),
-		Payload: &phy.SignaturePayload{Sigs: sigIDs(sigs), Start: true, ROP: ropFlag,
-			SlotHint: slotHint, ObsSpan: bSpan, ObsDepth: ap.depth},
+		Payload: b.signature(targets, ropFlag, slotHint, bSpan, ap.depth),
 		ObsSpan: bSpan,
-	})
+	}
+	e.medium.Transmit(ap.id, &b.frame)
 	// The broadcast closes the slot; subsequent self-referenced duties hang
 	// off it.
 	ap.refSpan = bSpan
 	// Half-duplex makes a broadcasting node deaf to triggers arriving at the
 	// same instant, but its own broadcast end IS the slot boundary: if its
 	// next duty starts exactly there, self-trigger from that reference.
-	e.k.After(e.cfg.sigFrameDuration(), func() { ap.selfTrigger(slotHint, ropFlag) })
+	e.calls.selfTrigger.After(e.cfg.sigFrameDuration(), sigCall{ap: ap, slotHint: slotHint, rop: ropFlag})
 }
 
 // selfTrigger consumes the AP's next action when it belongs to the slot this
@@ -455,11 +533,8 @@ func (ap *apNode) doPoll(slotIdx int) {
 	if e.medium.Transmitting(ap.id) {
 		// The AP's own end-of-slot broadcast may share this instant; start
 		// the poll right after it clears.
-		e.k.After(2*sim.Microsecond, func() {
-			if !e.medium.Transmitting(ap.id) {
-				ap.doPollNow(slotIdx)
-			}
-		})
+		ap.hold(slotIdx)
+		e.calls.pollRetry.After(2*sim.Microsecond, armCall{ap: ap, act: action{slot: slotIdx, kind: aPoll}})
 		return
 	}
 	ap.doPollNow(slotIdx)
@@ -478,50 +553,50 @@ func (ap *apNode) doPollNow(slotIdx int) {
 	}
 	// A multi-round cycle holds the channel for rounds consecutive poll
 	// exchanges; a single frame of rounds × the poll air time models it.
-	e.medium.Transmit(ap.id, &phy.Frame{
+	b := ap.bufs()
+	b.frame = phy.Frame{
 		Kind: phy.Poll, Dst: phy.Broadcast, Duration: rounds * e.cfg.pollAirtime(),
 		Payload: ap.id, ObsSpan: pollSpan,
-	})
+	}
+	e.medium.Transmit(ap.id, &b.frame)
 	ap.lastSlot = slotIdx
 	ap.lastSlotStart = e.k.Now() - e.cfg.slotDuration()
 	ap.scheduleSelfArm(slotIdx, ap.lastSlotStart)
 	// Each round takes one poll air time, the WiFi-slot turnaround and the
 	// 16 µs control symbol; the cycle's decode completes after the last.
 	decodeAt := rounds * (e.cfg.pollAirtime() + phy.SlotTime + sim.Micros(16))
-	e.k.After(decodeAt, func() {
-		if ap.poller == nil {
-			return
-		}
-		res := ap.poller.Poll(poll.Context{
-			Queue:    func(c phy.NodeID) int { return e.clientBacklog(c) },
-			RSSAtAP:  func(c phy.NodeID) float64 { return e.net.RSS[c][ap.id] },
-			NoiseDBm: e.medium.Config().NoiseDBm,
-			Rng:      e.k.Rand(),
-			Tracer:   e.Obs,
-			Now:      e.k.Now(),
-			Span:     pollSpan,
-		})
-		e.notePollCycle(res)
-		lat := e.cfg.WiredLatencyMean +
-			sim.Time(e.k.Rand().NormFloat64()*float64(e.cfg.WiredLatencyStd))
-		if lat < 0 {
-			lat = 0
-		}
-		e.k.After(lat, func() {
-			e.server.pollResult(res, func(c phy.NodeID) *topo.Link {
-				if cn, ok := e.clients[c]; ok {
-					return cn.uplink
-				}
-				return nil
-			})
-		})
+	e.calls.decode.After(decodeAt, decodeCall{ap: ap, span: pollSpan})
+}
+
+// decodePoll completes a polling cycle: the poller decodes the clients'
+// reports and the result travels to the server over the wire.
+func (ap *apNode) decodePoll(pollSpan int64) {
+	e := ap.e
+	if ap.poller == nil {
+		return
+	}
+	res := ap.poller.Poll(poll.Context{
+		Queue:    e.backlogFn,
+		RSSAtAP:  ap.rssAtAP,
+		NoiseDBm: e.medium.Config().NoiseDBm,
+		Rng:      e.k.Rand(),
+		Tracer:   e.Obs,
+		Now:      e.k.Now(),
+		Span:     pollSpan,
 	})
+	e.notePollCycle(res)
+	lat := e.cfg.WiredLatencyMean +
+		sim.Time(e.k.Rand().NormFloat64()*float64(e.cfg.WiredLatencyStd))
+	if lat < 0 {
+		lat = 0
+	}
+	e.calls.report.After(lat, res)
 }
 
 // ackTimeout applies the paper's missed-ACK policy (§3.5): keep the bundle
 // at the head of its queue; the next scheduled slot for this destination
 // retransmits it.
-func (ap *apNode) ackTimeout(link *topo.Link) {
+func (ap *apNode) ackTimeout() {
 	ap.ackEv = sim.Event{}
 	if ap.inflight == nil {
 		return
@@ -529,7 +604,7 @@ func (ap *apNode) ackTimeout(link *topo.Link) {
 	bundle := ap.inflight
 	ap.inflight = nil
 	ap.e.AckMisses++
-	ap.e.requeueBundle(link.ID, bundle)
+	ap.e.requeueBundle(ap.inflightLink.ID, bundle)
 }
 
 // CarrierChanged implements phy.Listener: channel activity is a liveness
@@ -572,7 +647,7 @@ func (ap *apNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDetecti
 		}
 		ap.ptr = max(ap.ptr, idx+1)
 		e.noteProgress(idx)
-		slot := e.slots[idx]
+		slot := e.slot(idx).rel
 		slotStart := e.k.Now() - f.AirTime()
 		ap.lastSlot = idx
 		ap.lastSlotStart = slotStart
@@ -600,18 +675,7 @@ func (ap *apNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDetecti
 			am := &ackMeta{pkts: m.pkts, slot: idx, clientSigs: clientSigs,
 				rop: len(slot.ROPAfter) > 0, selfNext: e.clientSenderInSlot(f.Src, idx+1),
 				nextWait: e.gapAfter(idx)}
-			src := f.Src
-			e.k.After(phy.SIFS, func() {
-				if e.medium.Transmitting(ap.id) {
-					return
-				}
-				e.trace(TraceEvent{Slot: idx, Kind: "ack", Node: ap.id, OK: true})
-				e.medium.Transmit(ap.id, &phy.Frame{
-					Kind: phy.Ack, Dst: src, Bytes: phy.AckBytes,
-					Rate: e.cfg.Rate, Duration: e.cfg.ackAirtime(), Payload: am,
-					ObsSpan: m.span,
-				})
-			})
+			e.calls.apAck.After(phy.SIFS, apAckCall{ap: ap, slot: idx, dst: f.Src, am: am, span: m.span})
 		}
 		ap.scheduleBroadcast(slot, idx, slotStart)
 		ap.checkPollSelf(idx, slotStart)
@@ -632,6 +696,22 @@ func (ap *apNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDetecti
 	}
 }
 
+// sendAck transmits the SIFS ACK for an uplink bundle received in a.slot.
+func (ap *apNode) sendAck(a apAckCall) {
+	e := ap.e
+	if e.medium.Transmitting(ap.id) {
+		return
+	}
+	e.trace(TraceEvent{Slot: a.slot, Kind: "ack", Node: ap.id, OK: true})
+	b := ap.bufs()
+	b.frame = phy.Frame{
+		Kind: phy.Ack, Dst: a.dst, Bytes: phy.AckBytes,
+		Rate: e.cfg.Rate, Duration: e.cfg.ackAirtime(), Payload: a.am,
+		ObsSpan: a.span,
+	}
+	e.medium.Transmit(ap.id, &b.frame)
+}
+
 // clientBacklog counts a client's uplink backlog including any packet parked
 // awaiting retransmission.
 func (e *Engine) clientBacklog(c phy.NodeID) int {
@@ -649,8 +729,8 @@ func (e *Engine) clientBacklog(c phy.NodeID) int {
 // findSlotFor locates the first slot at or after from whose entries contain
 // the sender→receiver link; -1 if unknown.
 func (e *Engine) findSlotFor(sender, receiver phy.NodeID, from int) int {
-	for idx := from; idx < len(e.slots); idx++ {
-		for _, en := range e.slots[idx].Entries {
+	for idx := from; idx < e.known(); idx++ {
+		for _, en := range e.slot(idx).rel.Entries {
 			if en.Link.Sender == sender && en.Link.Receiver == receiver {
 				return idx
 			}
@@ -659,7 +739,7 @@ func (e *Engine) findSlotFor(sender, receiver phy.NodeID, from int) int {
 	// The exchange may belong to a slot before our pointer (stale retry);
 	// search backwards a little.
 	for idx := from - 1; idx >= 0 && idx > from-4; idx-- {
-		for _, en := range e.slots[idx].Entries {
+		for _, en := range e.slot(idx).rel.Entries {
 			if en.Link.Sender == sender && en.Link.Receiver == receiver {
 				return idx
 			}
@@ -686,15 +766,4 @@ func containsInt(xs []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// sigIDs converts node IDs to the signature IDs carried in a broadcast
-// (every node's signature index is its node ID; the START and ROP signatures
-// are implicit in the payload flags).
-func sigIDs(ns []phy.NodeID) []int {
-	out := make([]int, len(ns))
-	for i, n := range ns {
-		out[i] = int(n)
-	}
-	return out
 }

@@ -23,11 +23,23 @@ type clientNode struct {
 	inflight []*mac.Packet
 	txStart  sim.Time
 	ackEv    sim.Event
+	// ackTimeoutFn is ackTimeout, bound once so arming it allocates nothing.
+	ackTimeoutFn func()
+
+	tx *txBufs
 
 	// refSpan/depth mirror apNode: the causal span of the client's current
 	// time reference and its trigger-cascade depth (zero with spans off).
 	refSpan int64
 	depth   int
+}
+
+// bufs returns the client's reused transmission buffers.
+func (c *clientNode) bufs() *txBufs {
+	if c.tx == nil {
+		c.tx = new(txBufs)
+	}
+	return c.tx
 }
 
 // CarrierChanged implements phy.Listener.
@@ -63,18 +75,7 @@ func (c *clientNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDete
 		// The received downlink slot becomes this client's causal reference.
 		c.refSpan, c.depth = m.span, m.depth
 		if f.Kind == phy.Data {
-			src := f.Src
-			e.k.After(phy.SIFS, func() {
-				if e.medium.Transmitting(c.id) {
-					return
-				}
-				e.trace(TraceEvent{Slot: m.slot, Kind: "ack", Node: c.id, OK: true})
-				e.medium.Transmit(c.id, &phy.Frame{
-					Kind: phy.Ack, Dst: src, Bytes: phy.AckBytes,
-					Rate: e.cfg.Rate, Duration: e.cfg.ackAirtime(),
-					Payload: &ackMeta{pkts: m.pkts}, ObsSpan: m.span,
-				})
-			})
+			e.calls.clientAck.After(phy.SIFS, clientAckCall{c: c, slot: m.slot, dst: f.Src, pkts: m.pkts, span: m.span})
 		}
 		// The decoded frame carries the S1 instructions and the slot
 		// reference: broadcast at the slot's end.
@@ -108,36 +109,61 @@ func (c *clientNode) scheduleBroadcast(slotIdx int, targets []phy.NodeID, ropFla
 	if delay < 0 {
 		delay = 0
 	}
-	e.k.After(delay, func() {
-		if len(targets) > 0 && !e.medium.Transmitting(c.id) {
-			sigs := sortedBroadcastTargets(targets)
-			var bSpan int64
-			if e.sp != nil {
-				bSpan = e.sp.Next()
-			}
-			e.trace(TraceEvent{Slot: slotIdx + 1, Kind: "bcast", Node: c.id, OK: true,
-				Span: bSpan, Parent: c.refSpan})
-			e.medium.Transmit(c.id, &phy.Frame{
-				Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.cfg.sigFrameDuration(),
-				Payload: &phy.SignaturePayload{Sigs: sigIDs(sigs), Start: true, ROP: ropFlag,
-					SlotHint: slotIdx + 1, ObsSpan: bSpan, ObsDepth: c.depth},
-				ObsSpan: bSpan,
-			})
-			c.refSpan = bSpan
+	e.calls.clientBcast.After(delay, clientBcastCall{c: c, slot: slotIdx, targets: targets,
+		rop: ropFlag, selfNext: selfNext, nextWait: nextWait})
+}
+
+// broadcast runs the client's end-of-slot duty for slot a.slot.
+func (c *clientNode) broadcast(a clientBcastCall) {
+	e := c.e
+	if len(a.targets) > 0 && !e.medium.Transmitting(c.id) {
+		var bSpan int64
+		if e.sp != nil {
+			bSpan = e.sp.Next()
 		}
-		if selfNext {
-			// The AP told us we transmit in the next slot: the end of this
-			// boundary exchange is our reference (we may be deaf to the
-			// broadcast carrying our own signature while sending ours).
-			e.k.After(e.cfg.sigFrameDuration(), func() {
-				if c.armed != nil {
-					return
-				}
-				c.lastHint = slotIdx + 1
-				c.armTx(nextWait)
-			})
+		e.trace(TraceEvent{Slot: a.slot + 1, Kind: "bcast", Node: c.id, OK: true,
+			Span: bSpan, Parent: c.refSpan})
+		b := c.bufs()
+		b.frame = phy.Frame{
+			Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.cfg.sigFrameDuration(),
+			Payload: b.signature(a.targets, a.rop, a.slot+1, bSpan, c.depth),
+			ObsSpan: bSpan,
 		}
-	})
+		e.medium.Transmit(c.id, &b.frame)
+		c.refSpan = bSpan
+	}
+	if a.selfNext {
+		// The AP told us we transmit in the next slot: the end of this
+		// boundary exchange is our reference (we may be deaf to the
+		// broadcast carrying our own signature while sending ours).
+		e.calls.selfNext.After(e.cfg.sigFrameDuration(), a)
+	}
+}
+
+// selfNextFired arms the client's transmission for slot a.slot+1 from the
+// end of its own boundary exchange.
+func (c *clientNode) selfNextFired(a clientBcastCall) {
+	if c.armed != nil {
+		return
+	}
+	c.lastHint = a.slot + 1
+	c.armTx(a.nextWait)
+}
+
+// sendAck transmits the SIFS ACK for a downlink bundle received in a.slot.
+func (c *clientNode) sendAck(a clientAckCall) {
+	e := c.e
+	if e.medium.Transmitting(c.id) {
+		return
+	}
+	e.trace(TraceEvent{Slot: a.slot, Kind: "ack", Node: c.id, OK: true})
+	b := c.bufs()
+	b.frame = phy.Frame{
+		Kind: phy.Ack, Dst: a.dst, Bytes: phy.AckBytes,
+		Rate: e.cfg.Rate, Duration: e.cfg.ackAirtime(),
+		Payload: &ackMeta{pkts: a.pkts}, ObsSpan: a.span,
+	}
+	e.medium.Transmit(c.id, &b.frame)
 }
 
 // onTrigger: the client's own signature arrived — transmit on the uplink.
@@ -151,7 +177,9 @@ func (c *clientNode) onTrigger(pl *phy.SignaturePayload) {
 	c.lastHint = pl.SlotHint
 	if c.armed != nil {
 		if e.k.Now()-c.armed.at < e.cfg.slotDuration()/2 {
-			c.armed.ev.Cancel()
+			e.cancelArmed(c.armed)
+			c.armed = nil
+			e.rearms++
 			c.armTx(delay)
 		}
 		return
@@ -160,12 +188,7 @@ func (c *clientNode) onTrigger(pl *phy.SignaturePayload) {
 }
 
 func (c *clientNode) armTx(delay sim.Time) {
-	tx := &armedTx{at: c.e.k.Now()}
-	tx.ev = c.e.k.After(delay, func() {
-		c.armed = nil
-		c.sendUplink()
-	})
-	c.armed = tx
+	c.armed = c.e.newArmed(nil, c, action{}, delay)
 }
 
 func (c *clientNode) sendUplink() {
@@ -201,25 +224,29 @@ func (c *clientNode) sendUplink() {
 		e.trace(TraceEvent{Slot: c.lastHint, Kind: "data", Node: c.id, Link: c.uplink, OK: true,
 			Span: slotSpan, Parent: c.refSpan})
 		dur := e.cfg.dataAirtime()
-		e.medium.Transmit(c.id, &phy.Frame{
+		b := c.bufs()
+		b.meta = meta{pkts: bundle, backlog: e.queues[c.uplink.ID].Len(),
+			span: slotSpan, depth: c.depth}
+		b.frame = phy.Frame{
 			Kind: phy.Data, Dst: c.ap, Bytes: e.cfg.VirtualBytes,
-			Rate: e.cfg.Rate, Duration: dur,
-			Payload: &meta{pkts: bundle, backlog: e.queues[c.uplink.ID].Len(),
-				span: slotSpan, depth: c.depth},
-			ObsSpan: slotSpan,
-		})
+			Rate: e.cfg.Rate, Duration: dur, Payload: &b.meta, ObsSpan: slotSpan,
+		}
+		e.medium.Transmit(c.id, &b.frame)
 		c.inflight = bundle
 		timeout := dur + phy.SIFS + e.cfg.ackAirtime() + 2*phy.SlotTime
-		c.ackEv = e.k.After(timeout, c.ackTimeout)
+		c.ackEv = e.k.After(timeout, c.ackTimeoutFn)
 	} else {
 		e.FakeSends++
 		e.trace(TraceEvent{Slot: c.lastHint, Kind: "fake", Node: c.id, Link: c.uplink, OK: true,
 			Span: slotSpan, Parent: c.refSpan})
-		e.medium.Transmit(c.id, &phy.Frame{
+		b := c.bufs()
+		b.meta = meta{span: slotSpan, depth: c.depth}
+		b.frame = phy.Frame{
 			Kind: phy.FakeHeader, Dst: c.ap, Bytes: 0,
 			Rate: e.cfg.Rate, Duration: e.cfg.fakeHeaderAirtime(),
-			Payload: &meta{span: slotSpan, depth: c.depth}, ObsSpan: slotSpan,
-		})
+			Payload: &b.meta, ObsSpan: slotSpan,
+		}
+		e.medium.Transmit(c.id, &b.frame)
 	}
 	c.refSpan = slotSpan
 }

@@ -291,7 +291,11 @@ func fullRigIdle(t *testing.T, net *topo.Network, seed int64) *rig {
 	return &rig{k: k, medium: medium, engine: engine, links: links}
 }
 
-func BenchmarkDominoSecond(b *testing.B) {
+// BenchmarkDominoSecondOfAir runs one simulated second of saturated DOMINO
+// on the Fig 7 topology, set-up included; its allocs/op column is the slot
+// cycle's allocation count (see TestDominoSteadyStateAllocs).
+func BenchmarkDominoSecondOfAir(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		net := topo.Figure7()
 		links := net.BuildLinks(true, true)

@@ -2,7 +2,6 @@ package domino
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/convert"
@@ -43,17 +42,31 @@ type Engine struct {
 	cfg    Config
 
 	queues []*mac.Queue
-	slots  []*convert.RelSlot // global slot sequence, appended per batch
-	// slotOffset[i] is slot i's nominal start relative to the chain origin
-	// (slot durations plus ROP and CoP gaps); APs free-run on it between
-	// triggers.
-	slotOffset []sim.Time
-	// batchEnd[i] is the last slot index of the batch containing slot i,
-	// used to stamp the NAV (CFP end) into data frames when CoP is on.
-	batchEnd []int
-	aps      map[phy.NodeID]*apNode
-	clients  map[phy.NodeID]*clientNode
-	server   *server
+	// sched is the window of the global slot sequence that APs can still
+	// read: global slot i lives at sched[i-base]. Batches append at the
+	// end; retire drops slots below every AP's low-water mark, so the
+	// window is bounded by the execution front, not by simulated time.
+	sched []schedSlot
+	base  int
+	// schedEntries, schedROPSlots and schedUntriggered accumulate
+	// DebugScheduleStats when each batch is converted, so the accessor
+	// still covers retired slots.
+	schedEntries, schedROPSlots, schedUntriggered int
+
+	aps     map[phy.NodeID]*apNode
+	clients map[phy.NodeID]*clientNode
+	server  *server
+	// calls holds the pooled fire-and-forget timers of the slot cycle, and
+	// armedFree the pooled armed-transmission records.
+	calls     timers
+	armedFree []*armedTx
+	// backlogFn is clientBacklog, bound once for the pollers' context.
+	backlogFn func(phy.NodeID) int
+	// For tests: armedMade counts armed records ever allocated, rearms the
+	// duplicate triggers that re-referenced an armed transmission, and
+	// armOverlaps the arms made while another armed transmission of the same
+	// AP was still pending.
+	armedMade, rearms, armOverlaps int
 	// maxExec tracks execution progress (highest slot index observed); the
 	// server pipelines the next batch when execution nears the end of the
 	// known schedule.
@@ -141,6 +154,50 @@ func (e *Engine) falseTrigger() bool {
 		return true
 	}
 	return false
+}
+
+// schedSlot is one global slot of the executing schedule.
+type schedSlot struct {
+	rel *convert.RelSlot
+	// offset is the slot's nominal start relative to the chain origin (slot
+	// durations plus ROP and CoP gaps); APs free-run on it between triggers.
+	offset sim.Time
+	// batchEnd is the last slot index of the slot's batch, used to stamp
+	// the NAV (CFP end) into data frames when CoP is on.
+	batchEnd int
+}
+
+// slot returns global slot idx. Every read of the schedule goes through
+// here: reading a retired slot is an engine bug, so it panics.
+func (e *Engine) slot(idx int) schedSlot {
+	if idx < e.base {
+		panic(fmt.Sprintf("domino: read of retired slot %d (window starts at %d)", idx, e.base))
+	}
+	return e.sched[idx-e.base]
+}
+
+// known returns how many global slots have been scheduled so far.
+func (e *Engine) known() int { return e.base + len(e.sched) }
+
+// retire drops the slots below the low-water mark: the lowest slot any AP
+// can still read (apNode.lowWater). The last slot always stays, since the
+// converter retains it to wire the next batch's triggers into its
+// broadcasts. Retired plans are left to the garbage collector rather than
+// recycled: pending broadcast timers may still hold target slices that
+// point into them.
+func (e *Engine) retire() {
+	mark := e.known() - 1
+	for _, ap := range e.aps {
+		mark = min(mark, ap.lowWater())
+	}
+	n := mark - e.base
+	if n <= 0 {
+		return
+	}
+	copy(e.sched, e.sched[n:])
+	clear(e.sched[len(e.sched)-n:])
+	e.sched = e.sched[:len(e.sched)-n]
+	e.base = mark
 }
 
 // meta rides on data and fake-header frames: the packet itself plus the
@@ -242,12 +299,15 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 			panic(fmt.Sprintf("domino: %v", err))
 		}
 		p.Assign(clients, rssFn)
+		ap.rssAtAP = rssFn
 		if r := p.Rounds(); r > e.pollRounds {
 			e.pollRounds = r
 		}
 		ap.poller = p
 	}
 	e.server = newServer(e)
+	e.calls = newTimers(e)
+	e.backlogFn = e.clientBacklog
 	e.refGroup = triggerComponents(g.Net)
 	return e
 }
@@ -288,7 +348,7 @@ func (e *Engine) ensureNode(id phy.NodeID) {
 	if e.net.IsAP[id] {
 		if _, ok := e.aps[id]; !ok {
 			ap := &apNode{e: e, id: id}
-			ap.watchdogFn = ap.watchdogExpired
+			ap.watchdogFn, ap.ackTimeoutFn = ap.watchdogExpired, ap.ackTimeout
 			e.aps[id] = ap
 			e.medium.Register(id, ap)
 		}
@@ -296,6 +356,7 @@ func (e *Engine) ensureNode(id phy.NodeID) {
 	}
 	if _, ok := e.clients[id]; !ok {
 		c := &clientNode{e: e, id: id, ap: e.net.APOf[id]}
+		c.ackTimeoutFn = c.ackTimeout
 		for _, l := range e.g.Links {
 			if l.Sender == id {
 				c.uplink = l
@@ -327,24 +388,12 @@ func (e *Engine) Enqueue(p *mac.Packet) {
 func (e *Engine) QueueLen(link int) int { return e.queues[link].Len() }
 
 // Slots exposes how many global slots have been scheduled so far.
-func (e *Engine) Slots() int { return len(e.slots) }
+func (e *Engine) Slots() int { return e.known() }
 
 // DebugScheduleStats summarises the built schedule: total entries, slots,
 // ROP boundaries and entries without triggers (tests and diagnostics).
 func (e *Engine) DebugScheduleStats() (entries, slots, ropSlots, untriggered int) {
-	slots = len(e.slots)
-	for _, sl := range e.slots {
-		entries += len(sl.Entries)
-		if len(sl.ROPAfter) > 0 {
-			ropSlots++
-		}
-		for _, en := range sl.Entries {
-			if len(en.TriggeredBy) == 0 {
-				untriggered++
-			}
-		}
-	}
-	return
+	return e.schedEntries, e.known(), e.schedROPSlots, e.schedUntriggered
 }
 
 // SigMissStats histograms failed own-signature receptions for diagnostics.
@@ -476,6 +525,9 @@ type server struct {
 	sched strict.Scheduler
 	conv  *convert.Converter
 	upEst []int
+	// est is the per-batch backlog estimate, reused across batches (the
+	// scheduler copies what it keeps).
+	est []int
 	// sleeping tracks clients the server has scheduled to sleep; their
 	// links are excluded from batches until they wake.
 	sleeping map[phy.NodeID]bool
@@ -505,6 +557,7 @@ func newServer(e *Engine) *server {
 		sched:    sched,
 		conv:     conv,
 		upEst:    make([]int, len(e.g.Links)),
+		est:      make([]int, len(e.g.Links)),
 		sleeping: map[phy.NodeID]bool{},
 	}
 }
@@ -514,9 +567,10 @@ func newServer(e *Engine) *server {
 // AP over the wired backbone.
 func (s *server) buildAndDispatch() {
 	e := s.e
-	est := make([]int, len(e.g.Links))
+	est := s.est
 	for _, l := range e.g.Links {
 		if !s.linkSchedulable(l.ID) {
+			est[l.ID] = 0
 			continue // endpoint asleep: no air time for this link
 		}
 		if l.Downlink {
@@ -583,29 +637,35 @@ func (s *server) buildAndDispatch() {
 		}
 	}
 
-	first := len(e.slots)
+	e.retire()
+	first := e.known()
+	newKnown := first + len(plan.Slots)
 	ropSlots := 0
 	for i := range plan.Slots {
-		e.slots = append(e.slots, &plan.Slots[i])
-		var last sim.Time
-		if n := len(e.slotOffset); n > 0 {
-			last = e.slotOffset[n-1] + e.cfg.slotDuration()
-			if prev := e.slots[len(e.slots)-2]; len(prev.ROPAfter) > 0 {
-				last += e.pollGap()
+		rel := &plan.Slots[i]
+		var off sim.Time
+		if e.known() > 0 {
+			prev := e.slot(e.known() - 1)
+			off = prev.offset + e.cfg.slotDuration()
+			if len(prev.rel.ROPAfter) > 0 {
+				off += e.pollGap()
 			}
 			if i == 0 {
-				last += e.cfg.CoPDuration
+				off += e.cfg.CoPDuration
 			}
 		}
-		e.slotOffset = append(e.slotOffset, last)
-		if len(plan.Slots[i].ROPAfter) > 0 {
+		e.sched = append(e.sched, schedSlot{rel: rel, offset: off, batchEnd: newKnown - 1})
+		if len(rel.ROPAfter) > 0 {
 			ropSlots++
 		}
+		e.schedEntries += len(rel.Entries)
+		for _, en := range rel.Entries {
+			if len(en.TriggeredBy) == 0 {
+				e.schedUntriggered++
+			}
+		}
 	}
-	newKnown := len(e.slots)
-	for i := first; i < newKnown; i++ {
-		e.batchEnd = append(e.batchEnd, newKnown-1)
-	}
+	e.schedROPSlots += ropSlots
 	e.noteConvert(plan, first)
 
 	// Wired dispatch with jitter.
@@ -616,22 +676,26 @@ func (s *server) buildAndDispatch() {
 		if lat < 0 {
 			lat = 0
 		}
-		e.k.After(lat, func() { ap.receiveSchedule(newKnown) })
+		e.calls.dispatch.After(lat, dispatchCall{ap: ap, known: newKnown})
 	}
 	e.buildPending = false
 
 	// Liveness fallback: execution normally pipelines the next batch via
 	// noteProgress, but if every chain stalls (or the tail of this batch has
 	// no executable entries) the server must still move forward.
-	snapshot := len(e.slots)
 	nominal := sim.Time(len(plan.Slots))*e.cfg.slotDuration() +
 		sim.Time(ropSlots)*e.pollGap()
-	e.k.After(2*nominal+10*e.cfg.slotDuration(), func() {
-		if len(e.slots) == snapshot && !e.buildPending {
-			e.buildPending = true
-			s.buildAndDispatch()
-		}
-	})
+	e.calls.liveness.After(2*nominal+10*e.cfg.slotDuration(), newKnown)
+}
+
+// livenessCheck builds the next batch if none was built since the batch
+// that left the schedule at snapshot slots.
+func (s *server) livenessCheck(snapshot int) {
+	e := s.e
+	if e.known() == snapshot && !e.buildPending {
+		e.buildPending = true
+		s.buildAndDispatch()
+	}
 }
 
 // noteProgress records that execution reached the given slot and pipelines
@@ -644,17 +708,17 @@ func (e *Engine) noteProgress(idx int) {
 	if idx > e.maxExec {
 		e.maxExec = idx
 	}
-	if !e.buildPending && len(e.slots)-e.maxExec <= 3 {
+	if !e.buildPending && e.known()-e.maxExec <= 3 {
 		e.buildPending = true
 		e.server.buildAndDispatch()
 	}
 }
 
 // pollResult integrates a poll outcome after its wired trip to the server.
-func (s *server) pollResult(res poll.Result, clientUplink func(phy.NodeID) *topo.Link) {
+func (s *server) pollResult(res poll.Result) {
 	for c, v := range res.Values {
-		if l := clientUplink(c); l != nil {
-			s.upEst[l.ID] = v
+		if cn, ok := s.e.clients[c]; ok && cn.uplink != nil {
+			s.upEst[cn.uplink.ID] = v
 		}
 	}
 }
@@ -716,13 +780,13 @@ func (e *Engine) deliverBundle(bundle []*mac.Packet) {
 // start of slot idx+1 (zero normally; the ROP slot when polling follows; the
 // CoP at batch boundaries).
 func (e *Engine) gapAfter(idx int) sim.Time {
-	if idx+1 >= len(e.slotOffset) || idx < 0 {
-		if idx >= 0 && idx < len(e.slots) && len(e.slots[idx].ROPAfter) > 0 {
+	if idx+1 >= e.known() || idx < 0 {
+		if idx >= 0 && idx < e.known() && len(e.slot(idx).rel.ROPAfter) > 0 {
 			return e.pollGap()
 		}
 		return 0
 	}
-	g := e.slotOffset[idx+1] - e.slotOffset[idx] - e.cfg.slotDuration()
+	g := e.slot(idx+1).offset - e.slot(idx).offset - e.cfg.slotDuration()
 	if g < 0 {
 		return 0
 	}
@@ -733,30 +797,23 @@ func (e *Engine) gapAfter(idx int) sim.Time {
 // carry: the end of its batch's contention-free period (zero when CoP is
 // off, i.e. no extra reservation beyond the exchange).
 func (e *Engine) navUntil(idx int, slotStart sim.Time) sim.Time {
-	if e.cfg.CoPDuration <= 0 || idx >= len(e.batchEnd) {
+	if e.cfg.CoPDuration <= 0 || idx >= e.known() {
 		return 0
 	}
-	end := e.batchEnd[idx]
-	return slotStart + (e.slotOffset[end] - e.slotOffset[idx]) + e.cfg.slotDuration()
+	sl := e.slot(idx)
+	return slotStart + (e.slot(sl.batchEnd).offset - sl.offset) + e.cfg.slotDuration()
 }
 
 // clientSenderInSlot reports whether the client sends in the given slot (for
 // the selfNext instruction).
 func (e *Engine) clientSenderInSlot(client phy.NodeID, idx int) bool {
-	if idx < 0 || idx >= len(e.slots) {
+	if idx < 0 || idx >= e.known() {
 		return false
 	}
-	for _, en := range e.slots[idx].Entries {
+	for _, en := range e.slot(idx).rel.Entries {
 		if en.Link.Sender == client {
 			return true
 		}
 	}
 	return false
-}
-
-// sortedBroadcastTargets returns a deterministic copy of targets.
-func sortedBroadcastTargets(ts []phy.NodeID) []phy.NodeID {
-	out := append([]phy.NodeID(nil), ts...)
-	slices.Sort(out)
-	return out
 }

@@ -223,6 +223,14 @@ func (f *Frame) AirTime() sim.Time {
 
 // Listener receives medium events for one node. Callbacks run inside the
 // simulation event loop; implementations must not block.
+//
+// Ownership: a *Frame and its Payload are valid only during FrameReceived.
+// Senders reuse one frame (and its payload struct) for their next
+// transmission, so a listener copies whatever it keeps past the callback,
+// such as the source or a payload field, instead of holding the frame or the
+// payload struct. Objects a payload points to, such as packets, keep their
+// own lifetimes. A sender in turn must not transmit again until its previous
+// frame's endTransmission callbacks have all returned.
 type Listener interface {
 	// CarrierChanged fires when energy-based carrier sensing at the node
 	// transitions between idle and busy. A node's own transmission does not

@@ -7,7 +7,8 @@
 package strict
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/mac"
 	"repro/internal/phy"
@@ -42,6 +43,15 @@ type Scheduler interface {
 type RAND struct {
 	g     *topo.ConflictGraph
 	order []int // rotation queue Q of link IDs
+	// spare is the other half of the double-buffered rotation queue: each
+	// slot rebuilds Q into it and swaps.
+	spare []int
+	// chosen[id] == epoch marks link id as picked for the current slot; a
+	// new epoch clears every mark at once.
+	chosen []uint32
+	epoch  uint32
+	pick   []int // the current slot's links, before the returned copy
+	batcher
 }
 
 // NewRAND builds the scheduler over a conflict graph.
@@ -57,36 +67,46 @@ func NewRAND(g *topo.ConflictGraph) *RAND {
 // scheduled links to the back of Q. It returns nil when nothing is
 // backlogged.
 func (r *RAND) NextSlot(backlog func(link int) int) Slot {
-	var slot Slot
-	chosen := make(map[int]bool)
+	if len(r.chosen) < len(r.order) {
+		r.chosen = make([]uint32, len(r.order))
+		r.epoch = 0
+	}
+	r.epoch++
+	if r.epoch == 0 { // wrapped: old marks could collide with the new epoch
+		clear(r.chosen)
+		r.epoch = 1
+	}
+	pick := r.pick[:0]
 	for _, id := range r.order {
-		if backlog(id) <= 0 || chosen[id] {
+		if backlog(id) <= 0 || r.chosen[id] == r.epoch {
 			continue
 		}
 		ok := true
-		for _, s := range slot {
+		for _, s := range pick {
 			if r.g.Conflicts(id, s) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			slot = append(slot, id)
-			chosen[id] = true
+			pick = append(pick, id)
+			r.chosen[id] = r.epoch
 		}
 	}
-	if len(slot) == 0 {
+	r.pick = pick
+	if len(pick) == 0 {
 		return nil
 	}
 	// Move the chosen links to the end of Q, preserving relative order.
-	var rest []int
+	next := r.spare[:0]
 	for _, id := range r.order {
-		if !chosen[id] {
-			rest = append(rest, id)
+		if r.chosen[id] != r.epoch {
+			next = append(next, id)
 		}
 	}
-	r.order = append(rest, slot...)
-	return slot
+	next = append(next, pick...)
+	r.order, r.spare = next, r.order
+	return slices.Clone(pick)
 }
 
 // Batch schedules up to maxSlots slots against an estimated backlog
@@ -94,21 +114,32 @@ func (r *RAND) NextSlot(backlog func(link int) int) Slot {
 // central server's planning step between pollings. Scheduling stops early
 // when the estimates drain.
 func (r *RAND) Batch(est []int, maxSlots int) Schedule {
-	return batchOf(r, est, maxSlots)
+	return r.batch(r, est, maxSlots)
 }
 
-// batchOf drains a copy of est through s.NextSlot for up to maxSlots slots —
-// the shared Batch body of every registered policy.
-func batchOf(s Scheduler, est []int, maxSlots int) Schedule {
-	remaining := append([]int(nil), est...)
+// batcher is the shared Batch body of every registered policy, with its
+// scratch kept across batches.
+type batcher struct {
+	remaining []int
+	// backlog reads remaining; bound once so each slot's NextSlot call
+	// allocates no closure.
+	backlog func(id int) int
+}
+
+// batch drains a copy of est through s.NextSlot for up to maxSlots slots.
+func (b *batcher) batch(s Scheduler, est []int, maxSlots int) Schedule {
+	if b.backlog == nil {
+		b.backlog = func(id int) int { return b.remaining[id] }
+	}
+	b.remaining = append(b.remaining[:0], est...)
 	var out Schedule
 	for len(out) < maxSlots {
-		slot := s.NextSlot(func(id int) int { return remaining[id] })
+		slot := s.NextSlot(b.backlog)
 		if slot == nil {
 			break
 		}
 		for _, id := range slot {
-			remaining[id]--
+			b.remaining[id]--
 		}
 		out = append(out, slot)
 	}
@@ -120,7 +151,14 @@ func batchOf(s Scheduler, est []int, maxSlots int) Schedule {
 // queues — a max-weight-flavoured alternative demonstrating the converter's
 // scheduler-independence.
 type LQF struct {
-	g *topo.ConflictGraph
+	g     *topo.ConflictGraph
+	cands []lqfCand // per-slot candidate scratch
+	batcher
+}
+
+type lqfCand struct {
+	id int
+	q  int
 }
 
 // NewLQF builds the scheduler over a conflict graph.
@@ -128,25 +166,23 @@ func NewLQF(g *topo.ConflictGraph) *LQF { return &LQF{g: g} }
 
 // NextSlot implements Scheduler.
 func (l *LQF) NextSlot(backlog func(link int) int) Slot {
-	type cand struct {
-		id int
-		q  int
-	}
-	var cands []cand
+	cands := l.cands[:0]
 	for id := range l.g.Links {
 		if q := backlog(id); q > 0 {
-			cands = append(cands, cand{id, q})
+			cands = append(cands, lqfCand{id, q})
 		}
 	}
+	l.cands = cands
 	if len(cands) == 0 {
 		return nil
 	}
-	// Longest queue first; ties by link ID for determinism.
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].q != cands[b].q {
-			return cands[a].q > cands[b].q
+	// Longest queue first; ties by link ID for determinism. The order is
+	// total (IDs are unique), so any sort algorithm yields the same slice.
+	slices.SortFunc(cands, func(a, b lqfCand) int {
+		if a.q != b.q {
+			return cmp.Compare(b.q, a.q)
 		}
-		return cands[a].id < cands[b].id
+		return cmp.Compare(a.id, b.id)
 	})
 	var slot Slot
 	for _, c := range cands {
@@ -166,7 +202,7 @@ func (l *LQF) NextSlot(backlog func(link int) int) Slot {
 
 // Batch implements Scheduler.
 func (l *LQF) Batch(est []int, maxSlots int) Schedule {
-	return batchOf(l, est, maxSlots)
+	return l.batch(l, est, maxSlots)
 }
 
 // Order exposes the current rotation for tests.
@@ -325,13 +361,13 @@ func (n *onode) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) 
 	}
 	switch f.Kind {
 	case phy.Data:
-		p := f.Payload.(*mac.Packet)
+		p, src := f.Payload.(*mac.Packet), f.Src
 		n.e.k.After(phy.SIFS, func() {
 			if n.e.medium.Transmitting(n.id) {
 				return
 			}
 			n.e.medium.Transmit(n.id, &phy.Frame{
-				Kind: phy.Ack, Dst: f.Src, Bytes: phy.AckBytes,
+				Kind: phy.Ack, Dst: src, Bytes: phy.AckBytes,
 				Rate: n.e.cfg.Rate, Payload: p,
 			})
 		})

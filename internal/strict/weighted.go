@@ -1,8 +1,9 @@
 package strict
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/topo"
 )
@@ -29,6 +30,14 @@ type Weighted struct {
 	g       *topo.ConflictGraph
 	cfg     WeightedConfig
 	service []float64
+	cands   []weightedCand // per-slot candidate scratch
+	batcher
+}
+
+type weightedCand struct {
+	id   int
+	q    int
+	prio float64
 }
 
 // NewWeighted builds the scheduler over a conflict graph.
@@ -38,28 +47,26 @@ func NewWeighted(g *topo.ConflictGraph, cfg WeightedConfig) *Weighted {
 
 // NextSlot implements Scheduler.
 func (w *Weighted) NextSlot(backlog func(link int) int) Slot {
-	type cand struct {
-		id   int
-		q    int
-		prio float64
-	}
-	var cands []cand
+	cands := w.cands[:0]
 	for id := range w.g.Links {
 		if q := backlog(id); q > 0 {
-			cands = append(cands, cand{id, q, float64(q) / (1 + w.service[id])})
+			cands = append(cands, weightedCand{id, q, float64(q) / (1 + w.service[id])})
 		}
 	}
+	w.cands = cands
 	if len(cands) == 0 {
 		return nil
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].prio != cands[b].prio {
-			return cands[a].prio > cands[b].prio
+	// The order is total (IDs are unique), so any sort algorithm yields the
+	// same slice.
+	slices.SortFunc(cands, func(a, b weightedCand) int {
+		if a.prio != b.prio {
+			return cmp.Compare(b.prio, a.prio)
 		}
-		if cands[a].q != cands[b].q {
-			return cands[a].q > cands[b].q
+		if a.q != b.q {
+			return cmp.Compare(b.q, a.q)
 		}
-		return cands[a].id < cands[b].id
+		return cmp.Compare(a.id, b.id)
 	})
 	var slot Slot
 	for _, c := range cands {
@@ -85,7 +92,7 @@ func (w *Weighted) NextSlot(backlog func(link int) int) Slot {
 
 // Batch implements Scheduler.
 func (w *Weighted) Batch(est []int, maxSlots int) Schedule {
-	return batchOf(w, est, maxSlots)
+	return w.batch(w, est, maxSlots)
 }
 
 func init() {
