@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt specs build test race race-hot race-shard race-serve bench bench-obs bench-kernel bench-shard bench-poll bench-topo bench-phy bench-mac benchreport benchreport-obs benchreport-kernel benchreport-shard benchreport-poll
+.PHONY: ci vet fmt specs build test race race-hot race-shard race-serve bench bench-smoke bench-obs bench-kernel bench-shard bench-poll bench-topo bench-phy bench-mac benchreport benchreport-obs benchreport-kernel benchreport-shard benchreport-poll
 
-ci: vet fmt build test specs race race-hot race-shard race-serve bench-obs bench-kernel bench-shard bench-poll bench-topo bench-phy bench-mac
+ci: vet fmt build test specs race race-hot race-shard race-serve bench-smoke bench-obs bench-kernel bench-shard bench-poll bench-topo bench-phy bench-mac
 
 vet:
 	$(GO) vet ./...
@@ -37,7 +37,7 @@ race-hot:
 	$(GO) test -race -count=1 ./internal/sim ./internal/ofdm ./internal/obs
 
 # Race re-run of the sharded-runner stack: the shard package (per-domain
-# goroutines, cross-shard mailboxes), the kernel it drives, and the ForEach
+# tasks, per-domain coupling-digest tallies), the kernel it drives, and the ForEach
 # fan-out underneath. The shard tests cover single-domain transparency,
 # multi-domain differentials and worker-count determinism, so -race here
 # checks every cross-goroutine edge the sharded runner adds.
@@ -54,6 +54,17 @@ race-serve:
 # Full benchmark sweep (one iteration per table/figure; laptop-minutes).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
+
+# End-to-end benchmark smoke (benchmark/, declared in BENCHMARK.json): one
+# pass of every workload with no timing budget, each run's output checked
+# and fingerprinted, plus one traced campus1000-sharded run whose 1- vs
+# 2-worker fingerprint comparison pins the sharded runner's worker-count
+# independence. Fails on any non-zero exit; the timings are not gated here.
+bench-smoke:
+	for w in fig7-saturated fig14-udp campus1000-sharded; do \
+		bash benchmark/run.sh --workload $$w --seconds 0 --trace 0 || exit 1; \
+	done
+	bash benchmark/run.sh --workload campus1000-sharded --seconds 0 --trace 1
 
 # Observability hot-path benchmarks: the kernel event loop with/without an
 # OnEvent hook and the correlator with/without a tracer. Runs as part of ci

@@ -467,7 +467,8 @@ func (i *Instance) Collector() *stats.Collector { return i.coll }
 func (i *Instance) Step(t sim.Time) sim.Time { return i.Kernel.RunUntil(t) }
 
 // StepBefore executes events strictly before horizon and advances the clock
-// to it (sim.Kernel.RunBefore) — the conservative-lookahead window step.
+// to it (sim.Kernel.RunBefore) — the resumable bounded step a sharded run
+// takes to a digest instant or a step horizon.
 func (i *Instance) StepBefore(horizon sim.Time) sim.Time { return i.Kernel.RunBefore(horizon) }
 
 // Finish closes the observability run and computes the scenario's

@@ -204,15 +204,17 @@ func (ap *apNode) bootstrap() {
 // armWatchdog (re)arms the silence timer: if the trigger chain dies, the AP
 // self-starts its next action, the same way it started the first batch.
 func (ap *apNode) armWatchdog() {
-	if ap.watchdog.Scheduled() {
+	if len(ap.actions) == 0 && ap.armed == nil {
 		ap.watchdog.Cancel()
 		ap.watchdog = sim.Event{}
-	}
-	if len(ap.actions) == 0 && ap.armed == nil {
 		return
 	}
-	d := sim.Time(ap.e.cfg.WatchdogSlots) * ap.e.cfg.slotDuration()
-	ap.watchdog = ap.e.k.After(d, ap.watchdogFn)
+	at := ap.e.k.Now() + ap.e.geo.watchdog
+	if ap.watchdog.Scheduled() {
+		ap.watchdog = ap.watchdog.Reschedule(at)
+	} else {
+		ap.watchdog = ap.e.k.At(at, ap.watchdogFn)
+	}
 }
 
 // watchdogExpired self-starts the AP after its trigger chain went silent.
@@ -276,7 +278,7 @@ func (ap *apNode) onTrigger(pl *phy.SignaturePayload) {
 	if ap.armed != nil {
 		// Re-reference an armed transmission for this very slot ("the
 		// transmitter uses the last correctly received trigger", §3.4).
-		if ap.armed.act.slot == hint && e.k.Now()-ap.armed.at < e.cfg.slotDuration()/2 {
+		if ap.armed.act.slot == hint && e.k.Now()-ap.armed.at < e.geo.slot/2 {
 			act := ap.armed.act
 			e.cancelArmed(ap.armed)
 			ap.armed = nil
@@ -361,7 +363,7 @@ func (ap *apNode) sendData(act action) {
 		e.DataSends += len(bundle)
 		e.trace(TraceEvent{Slot: act.slot, Kind: "data", Node: ap.id, Link: act.link, OK: true,
 			Span: slotSpan, Parent: ap.refSpan})
-		dur := e.cfg.dataAirtime()
+		dur := e.geo.data
 		b.frame = phy.Frame{
 			Kind: phy.Data, Dst: act.link.Receiver, Bytes: e.cfg.VirtualBytes,
 			Rate: e.cfg.Rate, Duration: dur, Payload: &b.meta,
@@ -370,7 +372,7 @@ func (ap *apNode) sendData(act action) {
 		e.medium.Transmit(ap.id, &b.frame)
 		ap.inflight = bundle
 		ap.inflightLink = act.link
-		timeout := dur + phy.SIFS + e.cfg.ackAirtime() + 2*phy.SlotTime
+		timeout := dur + phy.SIFS + e.geo.ack + 2*phy.SlotTime
 		ap.ackEv = e.k.After(timeout, ap.ackTimeoutFn)
 	} else {
 		e.FakeSends++
@@ -378,7 +380,7 @@ func (ap *apNode) sendData(act action) {
 			Span: slotSpan, Parent: ap.refSpan})
 		b.frame = phy.Frame{
 			Kind: phy.FakeHeader, Dst: act.link.Receiver, Bytes: 0,
-			Rate: e.cfg.Rate, Duration: e.cfg.fakeHeaderAirtime(), Payload: &b.meta,
+			Rate: e.cfg.Rate, Duration: e.geo.fakeHeader, Payload: &b.meta,
 			ObsSpan: slotSpan,
 		}
 		e.medium.Transmit(ap.id, &b.frame)
@@ -412,12 +414,12 @@ func (ap *apNode) scheduleSelfArm(fromSlot int, slotStart sim.Time) {
 	at := slotStart + (e.slot(next.slot).offset - e.slot(fromSlot).offset)
 	if next.kind == aPoll {
 		// The poll runs after its slot's broadcast.
-		at += e.cfg.slotDuration()
+		at += e.geo.slot
 	}
 	// Free-running is a FALLBACK: give the trigger a grace period to arrive
 	// first, so trigger references (which heal misalignment) always win when
 	// the chain is connected.
-	at += e.cfg.slotDuration() / 8
+	at += e.geo.slot / 8
 	delay := at - e.k.Now()
 	if delay < 0 {
 		delay = 0
@@ -451,7 +453,7 @@ func (ap *apNode) checkPollSelf(idx int, slotStart sim.Time) {
 		return
 	}
 	ap.actions = ap.actions[1:]
-	boundary := slotStart + ap.e.cfg.slotDuration()
+	boundary := slotStart + ap.e.geo.slot
 	wait := boundary - ap.e.k.Now()
 	if wait < 0 {
 		wait = 0
@@ -474,7 +476,7 @@ func (ap *apNode) scheduleBroadcast(slot *convert.RelSlot, idx int, slotStart si
 	if len(targets) == 0 {
 		return
 	}
-	at := slotStart + ap.e.cfg.broadcastOffset()
+	at := slotStart + ap.e.geo.broadcastOffset
 	delay := at - ap.e.k.Now()
 	if delay < 0 {
 		delay = 0
@@ -496,7 +498,7 @@ func (ap *apNode) sendSignature(slotHint int, targets []phy.NodeID, ropFlag bool
 		Span: bSpan, Parent: ap.refSpan})
 	b := ap.bufs()
 	b.frame = phy.Frame{
-		Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.cfg.sigFrameDuration(),
+		Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.geo.sigFrame,
 		Payload: b.signature(targets, ropFlag, slotHint, bSpan, ap.depth),
 		ObsSpan: bSpan,
 	}
@@ -507,7 +509,7 @@ func (ap *apNode) sendSignature(slotHint int, targets []phy.NodeID, ropFlag bool
 	// Half-duplex makes a broadcasting node deaf to triggers arriving at the
 	// same instant, but its own broadcast end IS the slot boundary: if its
 	// next duty starts exactly there, self-trigger from that reference.
-	e.calls.selfTrigger.After(e.cfg.sigFrameDuration(), sigCall{ap: ap, slotHint: slotHint, rop: ropFlag})
+	e.calls.selfTrigger.After(e.geo.sigFrame, sigCall{ap: ap, slotHint: slotHint, rop: ropFlag})
 }
 
 // selfTrigger consumes the AP's next action when it belongs to the slot this
@@ -555,16 +557,16 @@ func (ap *apNode) doPollNow(slotIdx int) {
 	// exchanges; a single frame of rounds × the poll air time models it.
 	b := ap.bufs()
 	b.frame = phy.Frame{
-		Kind: phy.Poll, Dst: phy.Broadcast, Duration: rounds * e.cfg.pollAirtime(),
+		Kind: phy.Poll, Dst: phy.Broadcast, Duration: rounds * e.geo.poll,
 		Payload: ap.id, ObsSpan: pollSpan,
 	}
 	e.medium.Transmit(ap.id, &b.frame)
 	ap.lastSlot = slotIdx
-	ap.lastSlotStart = e.k.Now() - e.cfg.slotDuration()
+	ap.lastSlotStart = e.k.Now() - e.geo.slot
 	ap.scheduleSelfArm(slotIdx, ap.lastSlotStart)
 	// Each round takes one poll air time, the WiFi-slot turnaround and the
 	// 16 µs control symbol; the cycle's decode completes after the last.
-	decodeAt := rounds * (e.cfg.pollAirtime() + phy.SlotTime + sim.Micros(16))
+	decodeAt := rounds * (e.geo.poll + phy.SlotTime + sim.Micros(16))
 	e.calls.decode.After(decodeAt, decodeCall{ap: ap, span: pollSpan})
 }
 
@@ -706,7 +708,7 @@ func (ap *apNode) sendAck(a apAckCall) {
 	b := ap.bufs()
 	b.frame = phy.Frame{
 		Kind: phy.Ack, Dst: a.dst, Bytes: phy.AckBytes,
-		Rate: e.cfg.Rate, Duration: e.cfg.ackAirtime(), Payload: a.am,
+		Rate: e.cfg.Rate, Duration: e.geo.ack, Payload: a.am,
 		ObsSpan: a.span,
 	}
 	e.medium.Transmit(ap.id, &b.frame)

@@ -104,7 +104,7 @@ func (c *clientNode) scheduleBroadcast(slotIdx int, targets []phy.NodeID, ropFla
 	if len(targets) == 0 && !selfNext {
 		return
 	}
-	at := slotStart + e.cfg.broadcastOffset()
+	at := slotStart + e.geo.broadcastOffset
 	delay := at - e.k.Now()
 	if delay < 0 {
 		delay = 0
@@ -125,7 +125,7 @@ func (c *clientNode) broadcast(a clientBcastCall) {
 			Span: bSpan, Parent: c.refSpan})
 		b := c.bufs()
 		b.frame = phy.Frame{
-			Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.cfg.sigFrameDuration(),
+			Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.geo.sigFrame,
 			Payload: b.signature(a.targets, a.rop, a.slot+1, bSpan, c.depth),
 			ObsSpan: bSpan,
 		}
@@ -136,7 +136,7 @@ func (c *clientNode) broadcast(a clientBcastCall) {
 		// The AP told us we transmit in the next slot: the end of this
 		// boundary exchange is our reference (we may be deaf to the
 		// broadcast carrying our own signature while sending ours).
-		e.calls.selfNext.After(e.cfg.sigFrameDuration(), a)
+		e.calls.selfNext.After(e.geo.sigFrame, a)
 	}
 }
 
@@ -160,7 +160,7 @@ func (c *clientNode) sendAck(a clientAckCall) {
 	b := c.bufs()
 	b.frame = phy.Frame{
 		Kind: phy.Ack, Dst: a.dst, Bytes: phy.AckBytes,
-		Rate: e.cfg.Rate, Duration: e.cfg.ackAirtime(),
+		Rate: e.cfg.Rate, Duration: e.geo.ack,
 		Payload: &ackMeta{pkts: a.pkts}, ObsSpan: a.span,
 	}
 	e.medium.Transmit(c.id, &b.frame)
@@ -176,7 +176,7 @@ func (c *clientNode) onTrigger(pl *phy.SignaturePayload) {
 	}
 	c.lastHint = pl.SlotHint
 	if c.armed != nil {
-		if e.k.Now()-c.armed.at < e.cfg.slotDuration()/2 {
+		if e.k.Now()-c.armed.at < e.geo.slot/2 {
 			e.cancelArmed(c.armed)
 			c.armed = nil
 			e.rearms++
@@ -223,7 +223,7 @@ func (c *clientNode) sendUplink() {
 		e.DataSends += len(bundle)
 		e.trace(TraceEvent{Slot: c.lastHint, Kind: "data", Node: c.id, Link: c.uplink, OK: true,
 			Span: slotSpan, Parent: c.refSpan})
-		dur := e.cfg.dataAirtime()
+		dur := e.geo.data
 		b := c.bufs()
 		b.meta = meta{pkts: bundle, backlog: e.queues[c.uplink.ID].Len(),
 			span: slotSpan, depth: c.depth}
@@ -233,7 +233,7 @@ func (c *clientNode) sendUplink() {
 		}
 		e.medium.Transmit(c.id, &b.frame)
 		c.inflight = bundle
-		timeout := dur + phy.SIFS + e.cfg.ackAirtime() + 2*phy.SlotTime
+		timeout := dur + phy.SIFS + e.geo.ack + 2*phy.SlotTime
 		c.ackEv = e.k.After(timeout, c.ackTimeoutFn)
 	} else {
 		e.FakeSends++
@@ -243,7 +243,7 @@ func (c *clientNode) sendUplink() {
 		b.meta = meta{span: slotSpan, depth: c.depth}
 		b.frame = phy.Frame{
 			Kind: phy.FakeHeader, Dst: c.ap, Bytes: 0,
-			Rate: e.cfg.Rate, Duration: e.cfg.fakeHeaderAirtime(),
+			Rate: e.cfg.Rate, Duration: e.geo.fakeHeader,
 			Payload: &b.meta, ObsSpan: slotSpan,
 		}
 		e.medium.Transmit(c.id, &b.frame)

@@ -194,3 +194,26 @@ func (c Config) ropSlotDuration() sim.Time {
 	}
 	return d
 }
+
+// geometry holds the slot and frame durations the hot path reads, computed
+// once in New: the Config methods below copy the whole Config per call,
+// several levels deep.
+type geometry struct {
+	data, ack, fakeHeader, poll sim.Time
+	broadcastOffset, sigFrame   sim.Time
+	slot, ropSlot, watchdog     sim.Time
+}
+
+func (c *Config) geometry() geometry {
+	return geometry{
+		data:            c.dataAirtime(),
+		ack:             c.ackAirtime(),
+		fakeHeader:      c.fakeHeaderAirtime(),
+		poll:            c.pollAirtime(),
+		broadcastOffset: c.broadcastOffset(),
+		sigFrame:        c.sigFrameDuration(),
+		slot:            c.slotDuration(),
+		ropSlot:         c.ropSlotDuration(),
+		watchdog:        sim.Time(c.WatchdogSlots) * c.slotDuration(),
+	}
+}

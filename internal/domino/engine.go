@@ -40,6 +40,7 @@ type Engine struct {
 	net    *topo.Network
 	events mac.Events
 	cfg    Config
+	geo    geometry
 
 	queues []*mac.Queue
 	// sched is the window of the global slot sequence that APs can still
@@ -139,7 +140,7 @@ func (e *Engine) pollGap() sim.Time {
 	if r < 1 {
 		r = 1
 	}
-	return sim.Time(r) * e.cfg.ropSlotDuration()
+	return sim.Time(r) * e.geo.ropSlot
 }
 
 // falseTrigger rolls the correlator's false-positive dice for a signature
@@ -245,7 +246,7 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 		events = mac.NopEvents{}
 	}
 	e := &Engine{
-		k: k, medium: medium, g: g, net: g.Net, events: events, cfg: cfg,
+		k: k, medium: medium, g: g, net: g.Net, events: events, cfg: cfg, geo: cfg.geometry(),
 		aps:     map[phy.NodeID]*apNode{},
 		clients: map[phy.NodeID]*clientNode{},
 	}
@@ -609,7 +610,7 @@ func (s *server) buildAndDispatch() {
 	}
 	if len(batch) == 0 {
 		// Nothing to schedule at all: check again after one slot.
-		e.k.After(e.cfg.slotDuration(), s.buildAndDispatch)
+		e.k.After(e.geo.slot, s.buildAndDispatch)
 		return
 	}
 	// Scheduled uplink transmissions consume the polled estimates.
@@ -646,7 +647,7 @@ func (s *server) buildAndDispatch() {
 		var off sim.Time
 		if e.known() > 0 {
 			prev := e.slot(e.known() - 1)
-			off = prev.offset + e.cfg.slotDuration()
+			off = prev.offset + e.geo.slot
 			if len(prev.rel.ROPAfter) > 0 {
 				off += e.pollGap()
 			}
@@ -683,9 +684,9 @@ func (s *server) buildAndDispatch() {
 	// Liveness fallback: execution normally pipelines the next batch via
 	// noteProgress, but if every chain stalls (or the tail of this batch has
 	// no executable entries) the server must still move forward.
-	nominal := sim.Time(len(plan.Slots))*e.cfg.slotDuration() +
+	nominal := sim.Time(len(plan.Slots))*e.geo.slot +
 		sim.Time(ropSlots)*e.pollGap()
-	e.calls.liveness.After(2*nominal+10*e.cfg.slotDuration(), newKnown)
+	e.calls.liveness.After(2*nominal+10*e.geo.slot, newKnown)
 }
 
 // livenessCheck builds the next batch if none was built since the batch
@@ -786,7 +787,7 @@ func (e *Engine) gapAfter(idx int) sim.Time {
 		}
 		return 0
 	}
-	g := e.slot(idx+1).offset - e.slot(idx).offset - e.cfg.slotDuration()
+	g := e.slot(idx+1).offset - e.slot(idx).offset - e.geo.slot
 	if g < 0 {
 		return 0
 	}
@@ -801,7 +802,7 @@ func (e *Engine) navUntil(idx int, slotStart sim.Time) sim.Time {
 		return 0
 	}
 	sl := e.slot(idx)
-	return slotStart + (e.slot(sl.batchEnd).offset - sl.offset) + e.cfg.slotDuration()
+	return slotStart + (e.slot(sl.batchEnd).offset - sl.offset) + e.geo.slot
 }
 
 // clientSenderInSlot reports whether the client sends in the given slot (for

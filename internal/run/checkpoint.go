@@ -40,7 +40,7 @@ type Checkpoint struct {
 	Metrics *obs.MetricsState   `json:"metrics,omitempty"`
 
 	// Sharded integrity state: one entry per interference domain, plus the
-	// cross-shard message count.
+	// number of coupling digests read.
 	Domains  []DomainState `json:"domains,omitempty"`
 	Messages int           `json:"messages,omitempty"`
 }
@@ -187,8 +187,8 @@ func (r *Run) replaySingle(cp *Checkpoint) error {
 	return nil
 }
 
-// replayShard re-executes the checkpointed number of windows and audits
-// every domain.
+// replayShard re-executes the checkpointed number of step granules and
+// audits every domain.
 func (r *Run) replayShard(cp *Checkpoint) error {
 	if len(cp.Domains) == 0 {
 		return fmt.Errorf("run: sharded checkpoint lacks domain state")
@@ -199,7 +199,7 @@ func (r *Run) replayShard(cp *Checkpoint) error {
 	}
 	for i := 0; i < cp.Steps; i++ {
 		if r.st.StepWindow() && i != cp.Steps-1 {
-			return fmt.Errorf("run: restore finished after %d windows, checkpoint recorded %d", i+1, cp.Steps)
+			return fmt.Errorf("run: restore finished after %d steps, checkpoint recorded %d", i+1, cp.Steps)
 		}
 	}
 	d, ok := scheme.Lookup(r.schemeName)
@@ -224,7 +224,7 @@ func (r *Run) replayShard(cp *Checkpoint) error {
 		}
 	}
 	if got := r.st.Messages(); got != cp.Messages {
-		return fmt.Errorf("run: restore routed %d cross-shard messages, checkpoint recorded %d", got, cp.Messages)
+		return fmt.Errorf("run: restore read %d coupling digests, checkpoint recorded %d", got, cp.Messages)
 	}
 	return nil
 }

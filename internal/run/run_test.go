@@ -168,6 +168,53 @@ func TestCheckpointRestoreSharded(t *testing.T) {
 	}
 }
 
+// TestCheckpointRestoreCoupledShard cuts a coupled sharded run — a
+// partition whose severed conflict edges leave two domain pairs reading
+// coupling digests — at every step_window boundary. The 4 ms granule is not
+// a lookahead multiple, so each domain stops inside its step to read its
+// digests; the restored run must replay exactly the checkpoint's digest
+// count and finish byte-identical to the uninterrupted run.
+func TestCheckpointRestoreCoupledShard(t *testing.T) {
+	sp := spec.Spec{
+		Scheme:   "DOMINO",
+		Topology: spec.Topology{Kind: "grid", Buildings: 12, APs: 12, Clients: 2},
+		Seed:     3,
+		Duration: spec.Duration(20 * sim.Millisecond),
+		Shards:   intPtr(2),
+		Obs:      spec.Obs{Metrics: true},
+		Run:      []byte(`{"step_window": "4ms"}`),
+	}
+	var full bytes.Buffer
+	r, err := run.New(sp, run.Options{Sink: obs.WriterSink{W: &full}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := 0
+	for !r.Step() {
+		cp, err := r.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.Messages <= prev {
+			t.Fatalf("step %d: checkpoint records %d digests, not more than the previous step's %d", r.Steps(), cp.Messages, prev)
+		}
+		prev = cp.Messages
+	}
+	fullRes, err := r.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := r.Report(); len(rep.Audits) != 2 || rep.Messages <= prev {
+		t.Fatalf("want 2 coupled pairs and digests in the final step: audits %+v, messages %d", rep.Audits, rep.Messages)
+	}
+	if r.Steps() != 5 {
+		t.Fatalf("run took %d steps, want one per 4 ms granule (5)", r.Steps())
+	}
+	for cut := 1; cut < r.Steps(); cut++ {
+		checkpointAt(t, sp, cut, full.Bytes(), fullRes)
+	}
+}
+
 // checkpointAt runs sp for cut steps, checkpoints, JSON round-trips the
 // document, restores, finishes, and compares against the uninterrupted
 // trace and result.

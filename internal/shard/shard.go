@@ -4,22 +4,23 @@
 // coupled clusters (internal/topo.PartitionDomains).
 //
 // Execution model: every domain gets its own sim.Kernel + engine instance
-// (core.NewInstance on the extracted subnetwork). Domains with no
-// cross-domain coupling run to the global deadline with no synchronization
-// at all. When the partition severed conflict edges, the coupled domains
-// exchange per-window coupling-audit digests over deterministic per-pair
-// ordered channels, and every domain advances in conservative-lookahead
-// windows: the lookahead is the wired-backbone latency floor (the central
-// server cannot influence a remote AP faster than the backbone's
-// N(285 µs, σ 22 µs) jitter distribution can deliver a coordination
-// message), so a window never needs input that a peer has not already
-// produced.
+// (core.NewInstance on the extracted subnetwork), and each domain runs
+// straight through to the step horizon as one task on the worker pool — no
+// domain ever reads anything from a peer, so nothing synchronizes domains
+// mid-run. When the partition severed conflict edges, each coupled domain
+// stops inside its own task at every lookahead multiple to read a
+// coupling-audit digest per peer (its cumulative deliveries over the links
+// facing that peer) into per-direction tallies. The lookahead is the
+// wired-backbone latency floor (the central server cannot influence a
+// remote AP faster than the backbone's N(285 µs, σ 22 µs) jitter
+// distribution can deliver a coordination message); here it only sets the
+// digest cadence.
 //
-// Determinism contract: domains, per-domain seeds, window boundaries,
-// message routing order and every merge step depend only on the topology
-// and the scenario — never on the worker count or OS scheduling. The
-// merged trace, metrics snapshot and Result are byte-identical at any
-// Workers value, pinned by TestShardCountDeterminism.
+// Determinism contract: domains, per-domain seeds, digest instants and
+// every merge step depend only on the topology and the scenario — never on
+// the worker count, the step granule or OS scheduling. The merged trace,
+// metrics snapshot and Result are byte-identical at any Workers value,
+// pinned by TestShardCountDeterminism and TestCoupledGridGolden.
 package shard
 
 import (
@@ -36,11 +37,11 @@ import (
 	"repro/internal/topo"
 )
 
-// LookaheadFloor returns the conservative window width derived from the
+// LookaheadFloor returns the coupling-digest cadence, derived from the
 // wired-backbone jitter floor: the earliest instant a cross-domain
-// coordination effect can land is one backbone traversal at the fast tail
-// of the latency distribution, mean − 4σ of DOMINO's wired model
-// (285 µs − 4·22 µs = 197 µs). Any window at most this wide is safe.
+// coordination effect could land is one backbone traversal at the fast
+// tail of the latency distribution, mean − 4σ of DOMINO's wired model
+// (285 µs − 4·22 µs = 197 µs).
 func LookaheadFloor() sim.Time {
 	c := domino.DefaultConfig()
 	return c.WiredLatencyMean - 4*c.WiredLatencyStd
@@ -58,32 +59,30 @@ type Options struct {
 	// CutDBm is the partition's RSS-threshold cut (0: topo.DefaultCutDBm;
 	// use topo.NoCutDBm to keep every conflict edge).
 	CutDBm float64
-	// Lookahead overrides the synchronization window width (0:
+	// Lookahead overrides the coupling-digest cadence (0:
 	// LookaheadFloor()). Ignored when the partition has no cross-domain
-	// coupling — uncoupled domains need no windows at all.
+	// coupling.
 	Lookahead sim.Time
 	// StepGranule bounds how much simulated time one Steppable.StepWindow
-	// call may advance an *uncoupled* partition (0: the whole run in one
-	// step, the barrier-free fast path Run uses). The run-lifecycle layer
-	// sets it so checkpoint/pause boundaries exist even when no
-	// synchronization windows do; kernels step via RunBefore, so any
-	// granule produces byte-identical output. Coupled partitions ignore it
-	// — their lookahead windows are already fine-grained boundaries.
+	// call advances the run (0: the whole run in one step, as Run uses).
+	// The run-lifecycle layer sets it so checkpoint/pause boundaries exist
+	// mid-run; kernels step via RunBefore and digests are read at fixed
+	// lookahead multiples, so any granule produces byte-identical output.
 	StepGranule sim.Time
 }
 
-// Report describes how a sharded run executed: the partition, the window
-// synchronization work, and the per-domain results.
+// Report describes how a sharded run executed: the partition, the coupling
+// audit, and the per-domain results.
 type Report struct {
 	Partition *topo.Partition
 	// Workers is the resolved worker count the domains were scheduled on.
 	Workers int
-	// Windows is the number of lookahead windows the coupled run stepped
-	// through (0 for a partition-free run).
+	// Windows is the number of lookahead intervals the coupling digests
+	// split the run into (0 for a partition without coupling).
 	Windows int
-	// Messages is the total cross-shard digests exchanged.
+	// Messages is the total coupling digests read, over all directions.
 	Messages int
-	// Audits holds per-channel coupling audit totals, in canonical pair
+	// Audits holds per-pair coupling audit totals, in canonical pair
 	// order.
 	Audits []PairAudit
 	// PerDomain holds each domain's local Result (local link ids).
@@ -105,23 +104,26 @@ func Run(s core.Scenario, opt Options) (core.Result, *Report, error) {
 	return st.Finish()
 }
 
-// Steppable is a sharded run decomposed into explicit window steps — the
-// form the run-lifecycle layer (internal/run) drives so a campus-scale run
-// can pause, checkpoint and resume between windows instead of executing in
-// one opaque call. Construct with New, call StepWindow until it reports
-// done, then Finish exactly once. Run is the loop-it-all wrapper and stays
-// byte-identical to the pre-steppable implementation.
+// Steppable is a sharded run decomposed into explicit steps — the form the
+// run-lifecycle layer (internal/run) drives so a campus-scale run can
+// pause, checkpoint and resume between step granules instead of executing
+// in one opaque call. Construct with New, call StepWindow until it reports
+// done, then Finish exactly once. Run is the loop-it-all wrapper.
 type Steppable struct {
 	s         core.Scenario
 	opt       Options
 	lookahead sim.Time
+	granule   sim.Time
 	links     []*topo.Link
 	p         *topo.Partition
 	insts     []*core.Instance
 	tracers   []*remapTracer
 	metrics   []*obs.Metrics
-	router    *router
+	coupling  *coupling
 	rep       *Report
+	// order lists domain indices largest first (links × nodes), so the
+	// longest tasks start first and the pool's tail is the short ones.
+	order []int
 
 	// nextH is the horizon the next step advances to; steps counts
 	// completed StepWindow calls (the checkpoint replay coordinate).
@@ -130,8 +132,8 @@ type Steppable struct {
 	done  bool
 }
 
-// New builds the per-domain instances, the cross-shard router and the
-// report skeleton — everything Run did before its execute loop.
+// New builds the per-domain instances, the coupling channels and the
+// report skeleton.
 func New(s core.Scenario, opt Options) (*Steppable, error) {
 	if s.Net == nil {
 		return nil, fmt.Errorf("shard: Scenario.Net is nil")
@@ -148,7 +150,7 @@ func New(s core.Scenario, opt Options) (*Steppable, error) {
 	if err := s.Net.Validate(); err != nil {
 		return nil, fmt.Errorf("shard: invalid network: %w", err)
 	}
-	// Normalize exactly like core.NewInstance so window math and merged
+	// Normalize exactly like core.NewInstance so digest instants and merged
 	// rates use the same values the instances will.
 	if s.PacketBytes == 0 {
 		s.PacketBytes = 512
@@ -211,25 +213,26 @@ func New(s core.Scenario, opt Options) (*Steppable, error) {
 		insts[d] = inst
 	}
 
-	// Cross-shard channels: one ordered mailbox pair per coupled domain
-	// pair, plus each domain's routing fan-out.
-	router := newRouter(p)
+	c := newCoupling(p)
+	if len(c.pairs) > 0 {
+		rep.Windows = int((s.Duration + lookahead - 1) / lookahead)
+	}
+	granule := opt.StepGranule
+	if granule <= 0 {
+		granule = s.Duration
+	}
+	order := make([]int, nd)
+	for d := range order {
+		order[d] = d
+	}
+	size := func(d int) int { return len(p.Domains[d].Links) * len(p.Domains[d].Nodes) }
+	sort.SliceStable(order, func(i, j int) bool { return size(order[i]) > size(order[j]) })
 
-	st := &Steppable{
-		s: s, opt: opt, lookahead: lookahead, links: links, p: p,
+	return &Steppable{
+		s: s, opt: opt, lookahead: lookahead, granule: granule, links: links, p: p,
 		insts: insts, tracers: tracers, metrics: metrics,
-		router: router, rep: rep,
-	}
-	// The first horizon: coupled partitions step conservative-lookahead
-	// windows; uncoupled ones leap by the step granule (or the whole run).
-	if router.pairs() > 0 {
-		st.nextH = lookahead
-	} else if opt.StepGranule > 0 {
-		st.nextH = opt.StepGranule
-	} else {
-		st.nextH = s.Duration
-	}
-	return st, nil
+		coupling: c, rep: rep, order: order, nextH: granule,
+	}, nil
 }
 
 // Steps returns the number of completed StepWindow calls — the replay
@@ -237,12 +240,12 @@ func New(s core.Scenario, opt Options) (*Steppable, error) {
 func (st *Steppable) Steps() int { return st.steps }
 
 // Instances exposes the per-domain cores in domain-index order so the
-// run-lifecycle layer can audit kernel and engine state at a window
+// run-lifecycle layer can audit kernel and engine state at a step
 // boundary. Callers must not step them directly.
 func (st *Steppable) Instances() []*core.Instance { return st.insts }
 
-// Messages returns the cross-shard messages routed so far.
-func (st *Steppable) Messages() int { return st.router.messages }
+// Messages returns the coupling digests read so far.
+func (st *Steppable) Messages() int { return st.coupling.messages() }
 
 // Done reports whether the run has reached its deadline.
 func (st *Steppable) Done() bool { return st.done }
@@ -252,73 +255,46 @@ func (st *Steppable) Clock() sim.Time {
 	if st.done {
 		return st.s.Duration
 	}
-	if st.steps == 0 {
-		return 0
-	}
-	return st.prevH()
+	return st.nextH - st.granule
 }
 
-// prevH is the horizon the last completed step advanced to.
-func (st *Steppable) prevH() sim.Time {
-	stride := st.granule()
-	h := st.nextH - stride
-	if h > st.s.Duration {
-		h = st.s.Duration
-	}
-	return h
-}
-
-func (st *Steppable) granule() sim.Time {
-	if st.router.pairs() > 0 {
-		return st.lookahead
-	}
-	if st.opt.StepGranule > 0 {
-		return st.opt.StepGranule
-	}
-	return st.s.Duration
-}
-
-// StepWindow advances every domain one window and reports whether the run
-// is done. Uncoupled partitions run barrier-free — the fast path that makes
-// sharding pay — advancing by the step granule per call with no router
-// work and no Report.Windows accounting (those count synchronization
-// barriers, of which there are none). Coupled partitions execute exactly
-// the pre-steppable loop body: deliver staged messages, step to the
-// horizon, emit boundary digests, route — so Run's output is byte-identical
-// to the original single-loop implementation.
+// StepWindow advances every domain one step granule and reports whether
+// the run is done. It is one fan-out over the worker pool, largest domain
+// first; each task runs its domain straight to the horizon (see advance).
 func (st *Steppable) StepWindow() bool {
 	if st.done {
 		return true
 	}
-	nd := len(st.p.Domains)
-	final := st.nextH >= st.s.Duration
-	coupled := st.router.pairs() > 0
-	h := st.nextH
-	if coupled {
-		st.rep.Windows++
-	}
-	parallel.ForEach(st.opt.Workers, nd, func(d int) {
-		if coupled {
-			st.router.deliver(d, st.insts[d])
-		}
-		if final {
-			st.insts[d].Step(st.s.Duration)
-		} else {
-			st.insts[d].StepBefore(h)
-			if coupled {
-				st.router.emit(d, st.insts[d], h)
+	from, h := st.Clock(), st.nextH
+	parallel.ForEach(st.opt.Workers, len(st.order), func(i int) {
+		st.advance(st.order[i], from, h)
+	})
+	st.steps++
+	st.nextH += st.granule
+	st.done = h >= st.s.Duration
+	return st.done
+}
+
+// advance steps domain d from horizon from to h (the deadline, inclusive,
+// once h reaches it). A coupled domain stops at every lookahead multiple in
+// (from, h] below the deadline to read its digests, so the digest instants
+// — and with RunBefore's resumability every event — are independent of
+// the granule. Runs on the domain's task; touches only d-owned state.
+func (st *Steppable) advance(d int, from, h sim.Time) {
+	inst, end := st.insts[d], st.s.Duration
+	if chans := st.coupling.chans[d]; len(chans) > 0 {
+		for t := (from/st.lookahead + 1) * st.lookahead; t <= h && t < end; t += st.lookahead {
+			inst.StepBefore(t)
+			for i := range chans {
+				chans[i].read(inst.Collector())
 			}
 		}
-	})
-	if coupled && !final {
-		st.router.route() // single-threaded barrier phase
 	}
-	st.steps++
-	st.nextH += st.granule()
-	if final {
-		st.done = true
+	if h >= end {
+		inst.Step(end)
+	} else {
+		inst.StepBefore(h)
 	}
-	return st.done
 }
 
 // Finish merges the per-domain results into the campus-wide Result and
@@ -328,8 +304,8 @@ func (st *Steppable) Finish() (core.Result, *Report, error) {
 		return core.Result{}, nil, fmt.Errorf("shard: Finish before the run reached its deadline (clock %v of %v)", st.Clock(), st.s.Duration)
 	}
 	s, rep := st.s, st.rep
-	rep.Messages = st.router.messages
-	rep.Audits = st.router.audits()
+	rep.Messages = st.coupling.messages()
+	rep.Audits = st.coupling.audits()
 
 	// Merge. Every step below iterates domains in index order, so the
 	// merged result is a pure function of the partition.
@@ -462,14 +438,4 @@ func mergeStreams(tracers []*remapTracer, out obs.Tracer) {
 			heads = append(heads[:best], heads[best+1:]...)
 		}
 	}
-}
-
-// sortAudits is a tiny helper keeping Report.Audits canonical.
-func sortAudits(a []PairAudit) {
-	sort.Slice(a, func(i, j int) bool {
-		if a[i].A != a[j].A {
-			return a[i].A < a[j].A
-		}
-		return a[i].B < a[j].B
-	})
 }

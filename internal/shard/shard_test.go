@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -274,47 +276,6 @@ func TestCrossShardAudit(t *testing.T) {
 	}
 }
 
-// TestMessageInjection exercises the Apply path and the (From, Seq)
-// delivery order through the router directly.
-func TestMessageInjection(t *testing.T) {
-	net := coupledNet()
-	links := net.BuildLinks(true, true)
-	g := topo.NewConflictGraph(net, links, phy.DefaultConfig(), phy.Rate12)
-	p := topo.PartitionDomains(g, topo.DefaultCutDBm)
-	if len(p.Domains) != 2 {
-		t.Fatalf("domains = %d", len(p.Domains))
-	}
-	r := newRouter(p)
-
-	var order []int
-	mk := func(from, seq, tag int) Message {
-		return Message{From: from, To: 1, Seq: seq,
-			Apply: func(*core.Instance) { order = append(order, tag) }}
-	}
-	// Inject out of order across one source channel; delivery must sort
-	// by (From, Seq).
-	r.inject(mk(0, 1, 2))
-	r.inject(mk(0, 0, 1))
-	r.route()
-	// A second round's message queues behind the first delivery.
-	r.inject(mk(0, 2, 3))
-	r.deliver(1, nil)
-	r.route()
-	r.deliver(1, nil)
-	want := []int{1, 2, 3}
-	if len(order) != len(want) {
-		t.Fatalf("applied %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("applied %v, want %v", order, want)
-		}
-	}
-	if r.messages != 3 {
-		t.Errorf("messages = %d, want 3", r.messages)
-	}
-}
-
 // TestRunRejectsUnsupported pins the error contract.
 func TestRunRejectsUnsupported(t *testing.T) {
 	s := baseScenario(disjointNet(2, 1))
@@ -458,5 +419,86 @@ func TestSignatureCapacityError(t *testing.T) {
 	}
 	if _, err := New(sc, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("shard.New: err = %v, want one mentioning %q", err, want)
+	}
+}
+
+// TestCoupledGridGolden pins the coupled path on a 12-building grid whose
+// partition keeps two coupled domain pairs (three cut edges). The window,
+// digest and audit totals, every domain's fired-event count and the merged
+// trace hash were recorded from the lockstep-window runner (one barrier
+// per lookahead window); they must hold at 1 and 2 workers, in one leap
+// in 7 ms step granules (not a lookahead multiple, so digest instants fall
+// strictly inside granules) and in granules of exactly 20 lookaheads (a
+// digest instant on every granule boundary).
+func TestCoupledGridGolden(t *testing.T) {
+	const (
+		wantWindows  = 102
+		wantMessages = 404
+		wantHash     = 0xaa223e5489bf772c
+	)
+	wantAudits := []PairAudit{
+		{A: 2, B: 6, Messages: 202, FinalAB: 19, FinalBA: 32},
+		{A: 7, B: 11, Messages: 202, FinalAB: 8, FinalBA: 13},
+	}
+	wantFired := []uint64{1194, 1002, 1393, 1244, 1213, 1215, 1555, 1260, 1467, 1016, 1081, 1453}
+
+	for _, workers := range []int{1, 2} {
+		for _, granule := range []sim.Time{0, 7 * sim.Millisecond, 20 * LookaheadFloor()} {
+			t.Run(fmt.Sprintf("w%d/g%v", workers, granule), func(t *testing.T) {
+				s, err := core.BuildScenario(spec.Spec{
+					Scheme:   "domino",
+					Topology: spec.Topology{Kind: "grid", Buildings: 12, APs: 12, Clients: 2},
+					Seed:     3,
+					Duration: spec.Duration(20 * sim.Millisecond),
+					Warmup:   spec.Duration(sim.Millisecond),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf obs.Buffer
+				s.Tracer = &buf
+				s.Metrics = obs.NewMetrics()
+				st, err := New(s, Options{Workers: workers, StepGranule: granule})
+				if err != nil {
+					t.Fatal(err)
+				}
+				steps := 1
+				for !st.StepWindow() {
+					steps++
+				}
+				wantSteps := 1
+				if granule > 0 {
+					wantSteps = int((s.Duration + granule - 1) / granule)
+				}
+				if steps != wantSteps {
+					t.Errorf("steps = %d, want one per granule (%d)", steps, wantSteps)
+				}
+				var fired []uint64
+				for _, inst := range st.Instances() {
+					fired = append(fired, inst.Kernel.Fired())
+				}
+				_, rep, err := st.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Windows != wantWindows || rep.Messages != wantMessages {
+					t.Errorf("windows/messages = %d/%d, want %d/%d", rep.Windows, rep.Messages, wantWindows, wantMessages)
+				}
+				if fmt.Sprint(rep.Audits) != fmt.Sprint(wantAudits) {
+					t.Errorf("audits = %+v, want %+v", rep.Audits, wantAudits)
+				}
+				if fmt.Sprint(fired) != fmt.Sprint(wantFired) {
+					t.Errorf("per-domain fired = %v, want %v", fired, wantFired)
+				}
+				h := fnv.New64a()
+				for _, r := range buf.Records() {
+					h.Write(obs.AppendRecord(nil, r))
+					h.Write([]byte{'\n'})
+				}
+				if got := h.Sum64(); got != wantHash {
+					t.Errorf("merged trace hash = %#x, want %#x", got, uint64(wantHash))
+				}
+			})
+		}
 	}
 }

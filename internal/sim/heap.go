@@ -75,6 +75,13 @@ func (h *eventHeap) remove(i int) {
 	e.index = -1
 }
 
+// fix restores heap order after the event at index i changed its key.
+func (h eventHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
 func (h eventHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2

@@ -112,6 +112,35 @@ func (e Event) Cancel() {
 	}
 }
 
+// Reschedule moves a still-queued event to absolute time t and returns its
+// new handle; the old handle goes stale. It is Cancel followed by At with
+// the same callback in one heap fix instead of a removal and a push: the
+// event takes the next sequence number and the current source, and keeps
+// the storage the pool would have handed straight back, so the queue, the
+// pool and CheckpointState end exactly as after Cancel+At. A no-op
+// returning the zero handle when the event is not Scheduled.
+func (e Event) Reschedule(t Time) Event {
+	if !e.Scheduled() {
+		return Event{}
+	}
+	ev, k := e.ev, e.ev.k
+	if t < k.now {
+		panic("sim: event scheduled in the past")
+	}
+	if k.ref != nil {
+		fn := ev.fn
+		e.Cancel()
+		return k.At(t, fn)
+	}
+	ev.gen++
+	ev.at = t
+	ev.seq = k.seq
+	ev.src = k.cur
+	k.seq++
+	k.q.fix(int(ev.index))
+	return Event{ev: ev, gen: ev.gen, at: t}
+}
+
 // Cancelled reports whether Cancel has been called on the event. Reliable
 // from the Cancel call until the kernel reuses the event's storage for a new
 // schedule (handles are contractually dead after fire/cancel; this query

@@ -25,10 +25,9 @@ type RunControl struct {
 	// are honoured. Zero means the executor default (65536).
 	StepEvents int `json:"step_events,omitempty"`
 
-	// StepWindow bounds how much simulated time an uncoupled sharded
-	// partition advances per step (shard.Options.StepGranule). Zero means
-	// barrier-free single-leap execution; coupled partitions always step
-	// by the conservative lookahead and ignore this knob.
+	// StepWindow bounds how much simulated time a sharded run advances per
+	// step (shard.Options.StepGranule), coupled partitions included. Zero
+	// means a single leap: the whole run in one step.
 	StepWindow Duration `json:"step_window,omitempty"`
 
 	// MaxConcurrentRuns bounds the daemon's worker fleet. Zero means one
@@ -93,7 +92,7 @@ func (s Spec) validateRun() error {
 		return fmt.Errorf("spec: run.step_window only applies to sharded runs (set shards ≥ 1, or use run.step_events for the single-engine path)")
 	}
 	if rc.StepEvents > 0 && s.Shards != nil {
-		return fmt.Errorf("spec: run.step_events only applies to single-engine runs (sharded runs step by window; use run.step_window)")
+		return fmt.Errorf("spec: run.step_events only applies to single-engine runs (sharded runs step by granule; use run.step_window)")
 	}
 	if rc.MaxConcurrentRuns < 0 {
 		return fmt.Errorf("spec: run.max_concurrent_runs %d is negative; use 0 for one worker per core", rc.MaxConcurrentRuns)

@@ -90,7 +90,7 @@ type CutStats struct {
 
 // CutEdge is one AP-conflict edge severed by the RSS-threshold cut: the
 // residual coupling the sharded run approximates away (and audits through
-// the cross-shard digest channel).
+// per-direction coupling digests).
 type CutEdge struct {
 	A, B phy.NodeID // the conflicting APs, A < B
 	// CouplingDBm is the strongest cross-cell RSS between the two cells.
@@ -245,7 +245,7 @@ func PartitionDomains(g *ConflictGraph, cutDBm float64) *Partition {
 
 // CrossDomainPairs returns the unordered domain-index pairs joined by at
 // least one severed conflict edge, sorted by (low, high) — the canonical
-// channel topology for cross-shard coupling audits. Cut edges whose
+// pair set for cross-domain coupling audits. Cut edges whose
 // endpoints landed in the same domain anyway (reconnected through a kept
 // path) produce no pair.
 func (p *Partition) CrossDomainPairs() [][2]int {
