@@ -278,8 +278,8 @@ func BenchmarkLightLoad(b *testing.B) {
 
 // BenchmarkFig14Workers runs the Fig 14 Monte Carlo serially and across all
 // cores. The results are bit-identical (per-run derived seeds, ordered CDF
-// merge); only the wall clock should differ. cmd/benchreport records the
-// speedup in BENCH_parallel.json.
+// merge); only the wall clock should differ. TestFig14Deterministic pins
+// the identity; benchmark/run.sh is where end-to-end speed is measured.
 func BenchmarkFig14Workers(b *testing.B) {
 	for _, workers := range []int{1, 0} {
 		name := "serial"

@@ -40,9 +40,9 @@ type Options struct {
 	// order, so the stream is byte-identical at any Workers value.
 	TraceSink io.Writer
 	// TuneDomino, when non-nil, adjusts the engine config of every DOMINO
-	// run launched by the drivers that honor it (Fig14). Used by the
-	// differential cache goldens and cmd/benchreport to flip conversion
-	// knobs without changing the workload.
+	// run launched by the drivers that honor it (Fig14). Used by
+	// TestFig14GoldenAcrossConvertModes and TestFig14MatchesPreRefactorGolden
+	// to flip conversion knobs without changing the workload.
 	TuneDomino func(*domino.Config)
 }
 

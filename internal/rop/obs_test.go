@@ -18,8 +18,8 @@ func TestDecodeObserved(t *testing.T) {
 	queue := func(c phy.NodeID) int { return int(c) - 9 } // 1, 2, 3
 	a := Assign(clients, rss)
 	var buf obs.Buffer
-	res := DecodeObserved(a, queue, rss, -95, nil, &buf, 42, 7)
-	plain := Decode(a, queue, rss, -95, nil)
+	res := DecodeObserved(a, queue, rss, -95, &buf, 42, 7)
+	plain := Decode(a, queue, rss, -95)
 	if len(res.Values) != len(plain.Values) || len(res.Failed) != len(plain.Failed) {
 		t.Fatalf("DecodeObserved result differs from Decode: %+v vs %+v", res, plain)
 	}
@@ -50,7 +50,7 @@ func TestDecodeObserved(t *testing.T) {
 		t.Fatalf("%d reports decoded, want 2 (node 12 is below the floor)", okCount)
 	}
 	// Nil tracer emits nothing and matches Decode exactly.
-	res2 := DecodeObserved(a, queue, rss, -95, nil, nil, 0, 0)
+	res2 := DecodeObserved(a, queue, rss, -95, nil, 0, 0)
 	if len(res2.Values) != len(plain.Values) {
 		t.Fatal("nil-tracer DecodeObserved differs from Decode")
 	}

@@ -38,15 +38,12 @@ func (p *Poller) Rounds() int { return 1 }
 // sequence the pre-registry engine emitted.
 func (p *Poller) Poll(ctx poll.Context) poll.Result {
 	res := DecodeObserved(p.assign, ctx.Queue, ctx.RSSAtAP, ctx.NoiseDBm,
-		ctx.Rng, ctx.Tracer, ctx.Now, ctx.Span)
+		ctx.Tracer, ctx.Now, ctx.Span)
 	return poll.Result{Values: res.Values, Failed: res.Failed, Rounds: 1}
 }
 
 // State implements poll.Poller: ROP is stateless between cycles.
 func (p *Poller) State() map[string]int64 { return nil }
-
-// Assignment exposes the current layout (benchmarks and tests).
-func (p *Poller) Assignment() Assignment { return p.assign }
 
 func init() {
 	poll.MustRegister(poll.Descriptor{

@@ -5,10 +5,15 @@
 // this package applies the calibrated tolerance — 3 guard subcarriers survive
 // up to a 38 dB RSS difference between adjacent subchannels — as the decode
 // rule, and assigns subchannels so that extreme pairs are never adjacent.
+//
+// Decode returns a fresh Result per round: the engine hands it across the
+// asynchronous wired-report latency, so two polls must not share storage.
+// internal/poll's TestEveryPollerCoversClientsExactlyOnce holds the
+// registry-wide contract that every assigned client is reported exactly once
+// per cycle.
 package rop
 
 import (
-	"math/rand"
 	"sort"
 
 	"repro/internal/obs"
@@ -81,7 +86,7 @@ type Result struct {
 // AP is below the 4 dB floor. queue gives each client's true backlog; snrAtAP
 // gives the AP-side SNR of each client's report.
 func Decode(a Assignment, queue func(phy.NodeID) int, rssAtAP func(phy.NodeID) float64,
-	noiseDBm float64, rng *rand.Rand) Result {
+	noiseDBm float64) Result {
 	res := Result{Values: make(map[phy.NodeID]int, len(a.Clients))}
 	for i, c := range a.Clients {
 		rss := rssAtAP(c)
@@ -101,37 +106,6 @@ func Decode(a Assignment, queue func(phy.NodeID) int, rssAtAP func(phy.NodeID) f
 	return res
 }
 
-// DecodeInto is Decode reusing caller-owned scratch: res.Values is cleared
-// and refilled, res.Failed truncated and re-appended, so a warm Result makes
-// the decode hot path allocation-free (the benchreport -poll gate pins it at
-// zero allocs). The engine keeps using Decode — its results cross an async
-// wired-latency boundary and must not share scratch between polls.
-func DecodeInto(res *Result, a Assignment, queue func(phy.NodeID) int,
-	rssAtAP func(phy.NodeID) float64, noiseDBm float64) {
-	if res.Values == nil {
-		res.Values = make(map[phy.NodeID]int, len(a.Clients))
-	}
-	for k := range res.Values {
-		delete(res.Values, k)
-	}
-	res.Failed = res.Failed[:0]
-	for i, c := range a.Clients {
-		rss := rssAtAP(c)
-		ok := rss-noiseDBm >= 4
-		if i > 0 && rssAtAP(a.Clients[i-1])-rss > ToleranceDB {
-			ok = false
-		}
-		if i+1 < len(a.Clients) && rssAtAP(a.Clients[i+1])-rss > ToleranceDB {
-			ok = false
-		}
-		if !ok {
-			res.Failed = append(res.Failed, c)
-			continue
-		}
-		res.Values[c] = defaultLayout.EncodeQueue(queue(c))
-	}
-}
-
 // DecodeObserved is Decode plus observability: when tr is non-nil it emits
 // one KindROPPoll record per assigned client in assignment order (Node the
 // client, Value the decoded backlog, Extra the subchannel, OK whether the
@@ -140,8 +114,8 @@ func DecodeInto(res *Result, a Assignment, queue func(phy.NodeID) int,
 // span of the poll that solicited the reports (0 when spans are off); it
 // becomes each record's Parent so polls hang off the trigger-chain tree.
 func DecodeObserved(a Assignment, queue func(phy.NodeID) int, rssAtAP func(phy.NodeID) float64,
-	noiseDBm float64, rng *rand.Rand, tr obs.Tracer, now sim.Time, span int64) Result {
-	res := Decode(a, queue, rssAtAP, noiseDBm, rng)
+	noiseDBm float64, tr obs.Tracer, now sim.Time, span int64) Result {
+	res := Decode(a, queue, rssAtAP, noiseDBm)
 	if tr != nil {
 		for i, c := range a.Clients {
 			rec := obs.Rec(now, obs.KindROPPoll)

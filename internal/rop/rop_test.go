@@ -1,7 +1,6 @@
 package rop
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/phy"
@@ -41,7 +40,7 @@ func TestDecodeCleanRound(t *testing.T) {
 	res := Decode(a,
 		func(c phy.NodeID) int { return queues[c] },
 		func(c phy.NodeID) float64 { return rss[c] },
-		-94, rand.New(rand.NewSource(1)))
+		-94)
 	if len(res.Failed) != 0 {
 		t.Fatalf("failures in a clean round: %v", res.Failed)
 	}
@@ -62,7 +61,7 @@ func TestDecodeAdjacentOverpower(t *testing.T) {
 	res := Decode(a,
 		func(phy.NodeID) int { return 5 },
 		func(c phy.NodeID) float64 { return rss[c] },
-		-94, rand.New(rand.NewSource(1)))
+		-94)
 	if len(res.Failed) != 1 || res.Failed[0] != 2 {
 		t.Fatalf("failed = %v, want [2]", res.Failed)
 	}
@@ -80,7 +79,7 @@ func TestDecodeSortingSeparatesExtremes(t *testing.T) {
 	res := Decode(a,
 		func(phy.NodeID) int { return 1 },
 		func(c phy.NodeID) float64 { return rss[c] },
-		-94, rand.New(rand.NewSource(1)))
+		-94)
 	if len(res.Failed) != 0 {
 		t.Fatalf("failed = %v; sorted assignment should separate extremes", res.Failed)
 	}
@@ -92,7 +91,7 @@ func TestDecodeSNRFloor(t *testing.T) {
 	res := Decode(a,
 		func(phy.NodeID) int { return 9 },
 		func(phy.NodeID) float64 { return -91 },
-		-94, rand.New(rand.NewSource(1)))
+		-94)
 	if len(res.Failed) != 1 {
 		t.Fatalf("sub-floor client decoded: %v", res.Values)
 	}

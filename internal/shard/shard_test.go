@@ -3,8 +3,10 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -426,10 +428,11 @@ func TestSignatureCapacityError(t *testing.T) {
 // partition keeps two coupled domain pairs (three cut edges). The window,
 // digest and audit totals, every domain's fired-event count and the merged
 // trace hash were recorded from the lockstep-window runner (one barrier
-// per lookahead window); they must hold at 1 and 2 workers, in one leap
-// in 7 ms step granules (not a lookahead multiple, so digest instants fall
-// strictly inside granules) and in granules of exactly 20 lookaheads (a
-// digest instant on every granule boundary).
+// per lookahead window); they must hold at 1, 2 and 8 workers, and at 8
+// workers squeezed onto GOMAXPROCS(1), in one leap, in 7 ms step granules
+// (not a lookahead multiple, so digest instants fall strictly inside
+// granules) and in granules of exactly 20 lookaheads (a digest instant on
+// every granule boundary).
 func TestCoupledGridGolden(t *testing.T) {
 	const (
 		wantWindows  = 102
@@ -442,9 +445,17 @@ func TestCoupledGridGolden(t *testing.T) {
 	}
 	wantFired := []uint64{1194, 1002, 1393, 1244, 1213, 1215, 1555, 1260, 1467, 1016, 1081, 1453}
 
-	for _, workers := range []int{1, 2} {
+	for _, c := range []struct{ procs, workers int }{{0, 1}, {0, 2}, {0, 8}, {1, 8}} {
 		for _, granule := range []sim.Time{0, 7 * sim.Millisecond, 20 * LookaheadFloor()} {
-			t.Run(fmt.Sprintf("w%d/g%v", workers, granule), func(t *testing.T) {
+			workers := c.workers
+			name := fmt.Sprintf("w%d/g%v", workers, granule)
+			if c.procs > 0 {
+				name = fmt.Sprintf("procs%d/%s", c.procs, name)
+			}
+			t.Run(name, func(t *testing.T) {
+				if c.procs > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+				}
 				s, err := core.BuildScenario(spec.Spec{
 					Scheme:   "domino",
 					Topology: spec.Topology{Kind: "grid", Buildings: 12, APs: 12, Clients: 2},
@@ -500,5 +511,44 @@ func TestCoupledGridGolden(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFourWorkerSpeedup gates the point of sharding: on a 240-AP grid campus
+// (12 buildings, 11 interference domains) four workers must run the whole
+// sharded run — set-up, stepping and merge — at least 3x faster than one.
+// Each side keeps the faster of two runs so a single descheduled run on a
+// busy host does not decide the gate. Hosts with fewer than four CPUs cannot
+// show a four-worker speedup, and the race detector's instrumentation makes
+// wall-clock ratios meaningless, so both skip.
+func TestFourWorkerSpeedup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("wall-clock speedup is meaningless under -race")
+	}
+	if runtime.NumCPU() < 4 || runtime.GOMAXPROCS(0) < 4 {
+		t.Skipf("needs 4 CPUs for a 4-worker speedup; host has NumCPU %d, GOMAXPROCS %d",
+			runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
+	const minSpeedup = 3.0
+	net := topo.GridCampus(1, 12, 20, 2)
+	wall := func(workers int) time.Duration {
+		best := time.Duration(1<<63 - 1)
+		for rep := 0; rep < 2; rep++ {
+			t0 := time.Now()
+			if _, _, err := Run(core.Scenario{
+				Net: net, Downlink: true, Uplink: true, Scheme: core.DOMINO, Seed: 1,
+				Duration: 50 * sim.Millisecond, Warmup: 5 * sim.Millisecond,
+			}, Options{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(t0); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	serial, four := wall(1), wall(4)
+	if got := float64(serial) / float64(four); got < minSpeedup {
+		t.Errorf("4-worker speedup %.2fx (serial %v, 4 workers %v), want >= %.1fx", got, serial, four, minSpeedup)
 	}
 }

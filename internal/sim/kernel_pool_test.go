@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // The pool contract: an Event handle is invalid after its event fires or is
 // cancelled. The generation counter must turn every operation through a
@@ -120,6 +123,25 @@ func TestAtAfterCancelZeroAllocs(t *testing.T) {
 		k.Run()
 	}); got != 0 {
 		t.Fatalf("After+Run allocates %v/op in steady state, want 0", got)
+	}
+	// Run drain: a batch of At calls at random times builds a 512-deep heap
+	// that RunUntil then pops empty — the pop-and-run loop with sifts over a
+	// deep heap, not the single-event chain above.
+	const batch = 512
+	rng := rand.New(rand.NewSource(7))
+	drain := func() {
+		base := k.Now()
+		for i := 0; i < batch; i++ {
+			k.At(base+Time(1+rng.Intn(batch)), fn)
+		}
+		k.RunUntil(base + batch)
+	}
+	drain() // grow the heap and pool to batch depth
+	if got := testing.AllocsPerRun(50, drain); got != 0 {
+		t.Fatalf("batched At+RunUntil allocates %v per %d events in steady state, want 0", got, batch)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("%d events left after RunUntil, want the heap drained", k.Pending())
 	}
 }
 
